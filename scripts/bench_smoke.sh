@@ -52,10 +52,15 @@ DEKG_BENCH_EXTRACT_MAX_N="${DEKG_BENCH_EXTRACT_MAX_N:-100000}" \
 # DEKG-churn serving sweep: patch-mode and invalidate-mode engines step
 # identical ingest+score schedules; every score round is gated on bitwise
 # identity between the two and against the static-graph oracle. Latency
-# percentiles and hit/patch/fallback rates are reported, not gated.
+# percentiles and hit/patch/fallback rates are reported, not gated. The
+# publish sweep times SnapshotWriter::Ingest on E = 2V random graphs and
+# hard-gates flatness in V (batch 64: largest V within 2x of 1e4); the
+# smoke run trims it to 1e5 entities, the full 1e6 point runs when
+# DEKG_BENCH_CHURN_MAX_V is raised.
 DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
 DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
 DEKG_BENCH_CHURN_ROUNDS="${DEKG_BENCH_CHURN_ROUNDS:-48}" \
+DEKG_BENCH_CHURN_MAX_V="${DEKG_BENCH_CHURN_MAX_V:-100000}" \
   ./bench_churn
 
 # Sharded-serving sweep over real TCP: shard count x pipeline depth x

@@ -27,7 +27,8 @@ const GraphOperators& OperatorsFor(const KnowledgeGraph& graph,
   }
   cache->graph = &graph;
   cache->ops.assign(static_cast<size_t>(2 * num_relations), OperatorEdges{});
-  for (const Edge& e : graph.edges()) {
+  for (int64_t id = 0; id < graph.num_triples(); ++id) {
+    const Edge& e = graph.edge(id);
     cache->ops[static_cast<size_t>(e.rel)].src.push_back(e.src);
     cache->ops[static_cast<size_t>(e.rel)].dst.push_back(e.dst);
     cache->ops[static_cast<size_t>(e.rel + num_relations)].src.push_back(e.dst);

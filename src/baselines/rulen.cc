@@ -46,7 +46,8 @@ void RuleN::Mine(const DekgDataset& dataset) {
 
   // Ordered pair -> directional atoms that connect it.
   std::unordered_map<int64_t, std::vector<Atom>> atoms_of_pair;
-  for (const Edge& e : g.edges()) {
+  for (int64_t id = 0; id < g.num_triples(); ++id) {
+    const Edge& e = g.edge(id);
     atoms_of_pair[PairKey(e.src, e.dst, n)].push_back(Atom{e.rel, false});
     atoms_of_pair[PairKey(e.dst, e.src, n)].push_back(Atom{e.rel, true});
   }

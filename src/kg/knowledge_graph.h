@@ -1,16 +1,21 @@
 // Core knowledge-graph data structures: triples, string vocabularies, and
-// an immutable indexed graph with CSR-style adjacency used by subgraph
-// extraction, negative sampling, and relation-component tables (CLRM).
+// an indexed graph — immutable views over an append-only store — used by
+// subgraph extraction, negative sampling, and relation-component tables
+// (CLRM).
 #ifndef DEKG_KG_KNOWLEDGE_GRAPH_H_
 #define DEKG_KG_KNOWLEDGE_GRAPH_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/chunked_vector.h"
 #include "common/logging.h"
 
 namespace dekg {
@@ -74,19 +79,117 @@ struct Edge {
   EntityId dst;
 };
 
-// Indexed multigraph over [0, num_entities) x [0, num_relations).
-// Construction: collect triples, then Build(). Provides
-//  * undirected adjacency (edge ids incident to a node, either direction),
+namespace internal {
+
+// One adjacency list: `size` ascending edge ids stored right after the
+// header, room for `capacity`. The writer appends in place while there is
+// room and otherwise moves the list into a block twice as large; a block
+// is never written below its published size and never freed before its
+// store, so a reader may scan whichever block it loaded. `last` repeats
+// the newest id, so a reader learns from the header alone whether the
+// list holds ids past its view (the tail of a long list is another cache
+// line).
+struct AdjBlock {
+  std::atomic<uint32_t> size{0};
+  uint32_t capacity = 0;
+  std::atomic<int32_t> last{-1};
+
+  int32_t* ids() { return reinterpret_cast<int32_t*>(this + 1); }
+  const int32_t* ids() const {
+    return reinterpret_cast<const int32_t*>(this + 1);
+  }
+};
+
+// The append-only, versioned storage behind KnowledgeGraph views and the
+// GraphWriter that grows it (DESIGN.md §14). Reads take the view's
+// (edge_count) bound and see exactly the first edge_count edges, however
+// far the writer has appended since; see KnowledgeGraph for the layout.
+class GraphStore {
+ public:
+  // Bulk build: adjacency lists packed back to back at exact capacity,
+  // the triple index sized with room to grow, room for `edge_capacity`
+  // edges (at least the triples) before the edge array moves.
+  GraphStore(int32_t num_entities, int32_t num_relations,
+             const std::vector<Triple>& triples, size_t edge_capacity);
+  GraphStore(const GraphStore&) = delete;
+  GraphStore& operator=(const GraphStore&) = delete;
+
+  // ----- Reads: any thread, ids and edge_count within a published view,
+  // `edges` the view's edge array.
+  std::span<const int32_t> IncidentEdges(EntityId node,
+                                         int64_t edge_count) const;
+  bool Contains(const Triple& t, int64_t edge_count, const Edge* edges) const;
+
+  // ----- Writer side (one thread).
+  int32_t num_entities() const { return static_cast<int32_t>(lists_.size()); }
+  int32_t num_relations() const { return num_relations_; }
+  int64_t num_edges() const { return num_edges_; }
+  // The current edge array: every id below num_edges(), never rewritten.
+  const std::shared_ptr<Edge[]>& edges() const { return edges_; }
+  void GrowEntities(int32_t num_entities);
+  // Appends t (ids in range) and returns whether an equal triple was
+  // already present.
+  bool Append(const Triple& t);
+
+ private:
+  // Open-addressing set of the distinct triples: each slot holds the
+  // first edge id of its triple plus one (0 = empty). Insert-only with
+  // ids inserted in ascending order, so the probe run in front of a
+  // triple's slot holds only smaller ids — a reader stops at the first
+  // slot past its edge_count.
+  struct TripleIndex {
+    explicit TripleIndex(size_t capacity)
+        : slots(new std::atomic<uint32_t>[capacity]()), mask(capacity - 1) {}
+    std::unique_ptr<std::atomic<uint32_t>[]> slots;
+    size_t mask;
+  };
+
+  void AppendToList(EntityId node, int32_t edge_id);
+  // Indexes edge `edge_id` unless an equal triple is indexed; returns
+  // whether one was.
+  bool Index(int32_t edge_id);
+  // Swaps in a table twice as large holding edges [0, edge_count).
+  void GrowIndex(int64_t edge_count);
+
+  int32_t num_relations_;
+  // Edges in id order. An append past the capacity moves them into an
+  // array twice as large; a view keeps the array it was made from.
+  std::shared_ptr<Edge[]> edges_;
+  size_t edge_capacity_ = 0;
+  int64_t num_edges_ = 0;
+  ChunkedVector<std::atomic<AdjBlock*>, 10> lists_;
+  std::atomic<TripleIndex*> index_{nullptr};
+  // Writer-only bookkeeping. Tables and blocks replaced by the writer
+  // stay here until the store dies: an older view may still read them.
+  std::vector<std::unique_ptr<TripleIndex>> indexes_;
+  std::vector<std::unique_ptr<std::byte[]>> blocks_;
+  size_t distinct_ = 0;
+};
+
+}  // namespace internal
+
+// A multigraph over [0, num_entities) x [0, num_relations). Provides
+//  * undirected adjacency (edge ids incident to a node, either direction,
+//    in ascending id order),
 //  * per-entity relation-component tables a_i^k (CLRM, Eq. 2),
 //  * membership tests for the filtered evaluation setting.
 //
-// A built graph is immutable unless switched into *dynamic mode*
-// (BeginDynamic), where triples may keep arriving after Build() — the
-// online-serving ingest path. Dynamic appends preserve the static index's
-// ordering invariant (each adjacency list holds edge ids in ascending
-// order), so for any triple sequence, "build everything statically" and
-// "build a prefix, then append the rest dynamically" produce identical
-// adjacency — and therefore bit-identical subgraph extractions.
+// Construction: collect triples, then Build(). A built graph is an
+// immutable *view* — (shared store, entity count, edge count) — of an
+// append-only store; copies are O(1) and share the store. There is no
+// way to append through a view: only a GraphWriter appends, to the store
+// it alone owns, so a view never changes after it is made. A view
+// answers every query exactly as BuildGraph over its triple prefix would:
+//  * edge ids are dense in arrival order; the view holds the edge array
+//    it was made from, which the writer only appends past the view's
+//    count (a full array moves to a larger one; old views keep theirs),
+//  * each adjacency list is one contiguous array of ascending edge ids,
+//    so the view's list is the prefix with id < edge count — the whole
+//    array in O(1) unless the writer appended to that node since, then
+//    one binary search,
+//  * Contains(t) is "the first edge id of t is < edge count".
+// Views are safe to read from any number of threads while the writer
+// keeps appending (DESIGN.md §14).
 class KnowledgeGraph {
  public:
   KnowledgeGraph(int32_t num_entities, int32_t num_relations);
@@ -98,39 +201,24 @@ class KnowledgeGraph {
   // Freezes the graph and builds the indexes. Idempotent.
   void Build();
 
-  // Converts the built CSR incidence index into per-node adjacency
-  // vectors so AddTripleDynamic / GrowEntities become legal. Idempotent.
-  // Not thread-safe against concurrent readers; mutation and reads must
-  // be externally serialized (the serve scheduler applies ingests only
-  // between scoring batches).
-  void BeginDynamic();
-  bool dynamic() const { return dynamic_; }
-
-  // Appends one triple to a dynamic graph, updating the incidence index
-  // and membership set. Ids must be in range — grow the entity space
-  // first with GrowEntities. Duplicate triples are kept, exactly like
-  // AddTriple before Build().
-  void AddTripleDynamic(const Triple& t);
-
-  // Raises the entity-id space of a dynamic graph (no-op when already at
-  // least that large). New entities start isolated.
-  void GrowEntities(int32_t new_num_entities);
-
-  bool built() const { return built_; }
+  bool built() const { return store_ != nullptr; }
   int32_t num_entities() const { return num_entities_; }
   int32_t num_relations() const { return num_relations_; }
-  int64_t num_triples() const { return static_cast<int64_t>(edges_.size()); }
+  int64_t num_triples() const {
+    return built() ? num_edges_ : static_cast<int64_t>(pending_.size());
+  }
 
-  const std::vector<Edge>& edges() const { return edges_; }
-  const Edge& edge(int64_t edge_id) const { return edges_[static_cast<size_t>(edge_id)]; }
+  // Built graphs only, like every query below.
+  const Edge& edge(int64_t edge_id) const {
+    return edges_[static_cast<size_t>(edge_id)];
+  }
 
-  // Edge ids incident to `node` in either direction.
+  // Edge ids incident to `node` in either direction, ascending.
   std::span<const int32_t> IncidentEdges(EntityId node) const;
   // Degree counting both directions (self-loops counted once).
   int64_t Degree(EntityId node) const;
 
-  bool Contains(const Triple& t) const { return triple_set_.count(t) > 0; }
-  const TripleSet& triple_set() const { return triple_set_; }
+  bool Contains(const Triple& t) const;
 
   // Relation-component table row for an entity: counts[k] = number of
   // incident triples (either direction) whose relation is k. (Eq. 2.)
@@ -140,17 +228,55 @@ class KnowledgeGraph {
   std::vector<Triple> Triples() const;
 
  private:
+  friend class GraphWriter;
+  KnowledgeGraph(std::shared_ptr<const internal::GraphStore> store,
+                 int32_t num_entities, int64_t num_edges,
+                 std::shared_ptr<const Edge[]> edges);
+
   int32_t num_entities_;
   int32_t num_relations_;
-  bool built_ = false;
-  bool dynamic_ = false;
-  std::vector<Edge> edges_;
-  TripleSet triple_set_;
-  // CSR over undirected incidence (static mode).
-  std::vector<int64_t> adj_offsets_;  // size num_entities_ + 1
-  std::vector<int32_t> adj_edges_;    // edge ids
-  // Per-node adjacency (dynamic mode); same per-node ordering as the CSR.
-  std::vector<std::vector<int32_t>> dyn_adj_;
+  int64_t num_edges_ = 0;
+  std::vector<Triple> pending_;  // builder phase only
+  std::shared_ptr<const internal::GraphStore> store_;
+  std::shared_ptr<const Edge[]> edges_;
+};
+
+// The single writer of an append-only graph store: the online-serving
+// ingest path. Appends keep each adjacency list in ascending edge-id
+// order — the order a bulk build produces — so for any triple sequence,
+// "build a prefix, then append the rest" and "build everything" give
+// identical views, and therefore bit-identical subgraph extractions.
+// Not copyable: every writer owns its store, so two writers built from
+// one base graph never append into storage the other can see.
+class GraphWriter {
+ public:
+  // Copies the built `base` into a fresh store: O(V + E), once.
+  explicit GraphWriter(const KnowledgeGraph& base);
+  GraphWriter(const GraphWriter&) = delete;
+  GraphWriter& operator=(const GraphWriter&) = delete;
+
+  int32_t num_entities() const { return store_->num_entities(); }
+  int64_t num_triples() const { return store_->num_edges(); }
+
+  // Raises the entity-id space (no-op when already at least that large).
+  // New entities start isolated.
+  void GrowEntities(int32_t num_entities) {
+    store_->GrowEntities(num_entities);
+  }
+  // Appends one triple; ids must be in range (grow the entity space
+  // first). Duplicates are kept. Returns whether an equal triple was
+  // already present.
+  bool Append(const Triple& t) { return store_->Append(t); }
+
+  // O(1) view of everything appended so far. Later appends never show
+  // through it.
+  KnowledgeGraph View() const {
+    return KnowledgeGraph(store_, num_entities(), num_triples(),
+                          store_->edges());
+  }
+
+ private:
+  std::shared_ptr<internal::GraphStore> store_;
 };
 
 // ----- TSV I/O -----

@@ -25,16 +25,16 @@ std::unique_ptr<quant::RgcnQuantWeights> BuildQuantWeights(
 }  // namespace
 
 InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
-                                 KnowledgeGraph base,
+                                 const KnowledgeGraph& base,
                                  const EngineConfig& config)
     : model_(model),
       config_(config),
-      owned_writer_(std::make_unique<SnapshotWriter>(model, std::move(base),
-                                                     config.live_graph,
-                                                     config.precision)),
+      owned_writer_(std::make_unique<SnapshotWriter>(
+          model, base, config.live_graph, config.precision)),
       writer_(owned_writer_.get()),
       qweights_(BuildQuantWeights(model, config.precision)),
-      caught_up_epoch_(owned_writer_->epoch()) {}
+      caught_up_epoch_(owned_writer_->epoch()),
+      caught_up_edges_(owned_writer_->live().num_triples()) {}
 
 InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
                                  SnapshotWriter* writer,
@@ -43,7 +43,8 @@ InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
       config_(config),
       writer_(writer),
       qweights_(BuildQuantWeights(model, config.precision)),
-      caught_up_epoch_(writer->epoch()) {
+      caught_up_epoch_(writer->epoch()),
+      caught_up_edges_(writer->live().num_triples()) {
   // A follower reads the shared writer's rows; a precision mismatch
   // would score fp32 rows through quantized kernels (or vice versa).
   DEKG_CHECK(writer->precision() == config_.precision)
@@ -98,7 +99,7 @@ std::vector<double> InferenceEngine::ScoreBatch(
 std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     const GraphSnapshot& snap, const std::vector<ScoreItem>& items) {
   const KnowledgeGraph& g = snap.graph;
-  const std::vector<std::shared_ptr<const Tensor>>& rows = snap.entity_emb;
+  const RowTable<Tensor>::Version& rows = snap.entity_emb;
   core::Clrm* clrm = model_->clrm();
   core::Gsm* gsm = model_->gsm();
   const size_t n = items.size();
@@ -147,8 +148,7 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
   // builds an autograd tape over the fp32 parameters and stays
   // fp32-only.
   const bool quantized = config_.precision != quant::Precision::kFp32;
-  const std::vector<std::shared_ptr<const quant::QuantRow>>& qrows =
-      snap.entity_emb_q;
+  const RowTable<quant::QuantRow>::Version& qrows = snap.entity_emb_q;
   // Row base of r^sem for the quantized DistMult decoder.
   const float* rel_sem_data = nullptr;
   int64_t rel_sem_dim = 0;
@@ -290,27 +290,24 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   // graph is a strict supergraph, so every entry is suspect.
   memo_.clear();
 
-  // Collapse the missed epochs (chain head is newest) into one combined
-  // batch, oldest first. Ingest only adds edges, so the snapshot graph
-  // equals the caught-up graph plus exactly these triples — the same
-  // shape as a single larger ingest, which is what the patch predicate
-  // below reasons about.
-  std::vector<const IngestDelta*> pending;
-  for (const IngestDelta* d = snap.deltas.get();
-       d != nullptr && d->epoch > caught_up_epoch_; d = d->prev.get()) {
-    pending.push_back(d);
-  }
+  // The missed epochs' batches, oldest first: the snapshot's edges from
+  // the caught-up edge count on. Ingest only appends edges, so the
+  // snapshot graph equals the caught-up graph plus exactly these triples
+  // — the same shape as a single larger ingest, which is what the patch
+  // predicate below reasons about.
+  const KnowledgeGraph& g = snap.graph;
   std::vector<Triple> combined;
   std::vector<EntityId> touched;
-  for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-    combined.insert(combined.end(), (*it)->triples.begin(),
-                    (*it)->triples.end());
-    touched.insert(touched.end(), (*it)->touched.begin(),
-                   (*it)->touched.end());
+  for (int64_t id = caught_up_edges_; id < g.num_triples(); ++id) {
+    const Edge& e = g.edge(id);
+    combined.push_back(Triple{e.src, e.rel, e.dst});
+    touched.push_back(e.src);
+    touched.push_back(e.dst);
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   caught_up_epoch_ = snap.epoch;
+  caught_up_edges_ = g.num_triples();
 
   // Maintain exactly the cached extractions a new edge can affect: those
   // whose touched set contains an endpoint of a combined-batch triple.
@@ -341,7 +338,6 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   // into the t-hop ball (membership change), in which case the entry
   // falls back to invalidation + full re-extraction on its next lookup.
   const SubgraphConfig sc = gsm->subgraph_config();
-  const KnowledgeGraph& g = snap.graph;
   uint64_t removed = 0;
   for (const Triple& key : affected) {
     CachedMeta& meta = key_meta_.find(key)->second;

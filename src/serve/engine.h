@@ -12,12 +12,12 @@
 //  * Follower (one shard of a serve::Router): the engine borrows a
 //    shared SnapshotWriter. It never ingests; at the start of every
 //    ScoreBatch it loads the current snapshot and, if epochs advanced
-//    since it last looked, collapses the missed IngestDeltas into one
-//    combined batch and runs the PR-7 cache maintenance against it.
-//    Collapsing is sound because ingest only adds edges: the snapshot
-//    graph equals the cached graph plus the combined batch, which is
-//    precisely the situation the patch/repair/fallback predicate
-//    handles (DESIGN.md §13).
+//    since it last looked, takes the edges appended since the edge count
+//    it caught up to as one combined batch and runs the PR-7 cache
+//    maintenance against it. That is sound because ingest only appends
+//    edges: the snapshot graph equals the cached graph plus the combined
+//    batch, which is precisely the situation the patch/repair/fallback
+//    predicate handles (DESIGN.md §13).
 //
 // Three operations, all invoked from one thread at a time (the
 // scheduler thread, or one router fan-out worker per shard):
@@ -142,7 +142,7 @@ class InferenceEngine {
   // frozen (read-only). `base` is the built graph the server starts from
   // (offline: the train split). Materializes the CLRM embedding table at
   // construction, parallelized over entities.
-  InferenceEngine(core::DekgIlpModel* model, KnowledgeGraph base,
+  InferenceEngine(core::DekgIlpModel* model, const KnowledgeGraph& base,
                   const EngineConfig& config);
 
   // Follower mode: one shard of a router. `writer` is shared with the
@@ -173,9 +173,10 @@ class InferenceEngine {
   // sharding.
   void Ingest(const std::vector<Triple>& triples, IngestResponse* response);
 
-  // Brings the cache up to `snap`'s epoch: collapses the missed deltas
-  // into one combined batch and patches / repairs / drops exactly the
-  // affected resident entries. When `response` is non-null the
+  // Brings the cache up to `snap`'s epoch: takes the snapshot's edges
+  // appended since the last catch-up, in id order (= ingest order,
+  // duplicates included), as one combined batch and patches / repairs /
+  // drops exactly the affected resident entries. When `response` is non-null the
   // invalidated/patched/repaired counters are ADDED to it (the router
   // accumulates one response across shards). No-op when already caught
   // up.
@@ -241,10 +242,11 @@ class InferenceEngine {
   // state, and the duplication is small next to the fusion rows.
   std::unique_ptr<quant::RgcnQuantWeights> qweights_;
 
-  // The snapshot epoch the cache state is consistent with: every
-  // resident entry's labels are a fresh blocked-BFS fixpoint against the
-  // graph at this epoch.
+  // The snapshot epoch (and that snapshot's edge count) the cache state
+  // is consistent with: every resident entry's labels are a fresh
+  // blocked-BFS fixpoint against the graph at this epoch.
   uint64_t caught_up_epoch_ = 0;
+  int64_t caught_up_edges_ = 0;
 
   // Subgraph cache (unlimited; capacity enforced here) plus the
   // maintenance bookkeeping. key_meta_ holds each resident key's sparse

@@ -1,16 +1,13 @@
 #include "serve/live_graph.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace dekg::serve {
 
-LiveGraph::LiveGraph(KnowledgeGraph base, const LiveGraphConfig& config)
-    : config_(config), graph_(std::move(base)) {
-  DEKG_CHECK(graph_.built()) << "LiveGraph needs a built base graph";
+LiveGraph::LiveGraph(const KnowledgeGraph& base, const LiveGraphConfig& config)
+    : config_(config), writer_(base), graph_(writer_.View()) {
   DEKG_CHECK_LE(graph_.num_entities(), config_.max_entities)
       << "base graph already exceeds max_entities";
-  graph_.BeginDynamic();
 }
 
 Status LiveGraph::Ingest(const std::vector<Triple>& triples,
@@ -42,20 +39,20 @@ Status LiveGraph::Ingest(const std::vector<Triple>& triples,
     needed_entities = std::max(needed_entities, t.head + 1);
     needed_entities = std::max(needed_entities, t.tail + 1);
   }
-  graph_.GrowEntities(needed_entities);
+  writer_.GrowEntities(needed_entities);
 
   report->accepted = 0;
   report->duplicates = 0;
   report->new_entities = static_cast<uint32_t>(needed_entities - old_entities);
   report->touched_entities.clear();
   for (const Triple& t : triples) {
-    if (graph_.Contains(t)) ++report->duplicates;
-    graph_.AddTripleDynamic(t);
+    if (writer_.Append(t)) ++report->duplicates;
     ++report->accepted;
     report->touched_entities.push_back(t.head);
     report->touched_entities.push_back(t.tail);
   }
   ingested_ += triples.size();
+  graph_ = writer_.View();
   std::sort(report->touched_entities.begin(), report->touched_entities.end());
   report->touched_entities.erase(
       std::unique(report->touched_entities.begin(),

@@ -1,22 +1,22 @@
 // Live DEKG adjacency for the online scoring server (DESIGN.md §9).
 //
-// Wraps a dynamic-mode KnowledgeGraph behind an ingestion API with the
-// validation and accounting the server needs: whole-batch (atomic)
-// admission, entity-space growth up to a hard cap, duplicate counting,
-// and a record of which entities each accepted batch touched (the serve
-// engine refreshes exactly those CLRM embedding rows and invalidates
-// exactly the cached subgraphs they can affect).
+// Wraps the GraphWriter of an append-only graph store behind an ingestion
+// API with the validation and accounting the server needs: whole-batch
+// (atomic) admission, entity-space growth up to a hard cap, duplicate
+// counting, and a record of which entities each accepted batch touched
+// (the serve engine refreshes exactly those CLRM embedding rows and
+// maintains exactly the cached subgraphs they can affect).
 //
 // Determinism: a server built from the train triples that ingests the
 // emerging triples in file order holds a graph identical — same edge ids,
 // same adjacency order — to the offline inference graph built statically
 // from train + emerging. That is the ordering invariant documented on
-// KnowledgeGraph, and it is what makes online scores bit-identical to
+// GraphWriter, and it is what makes online scores bit-identical to
 // offline Evaluate.
 //
-// Not thread-safe: the scheduler thread owns all calls (reads included
-// while a mutation is in flight). The engine scores from a const reference
-// only between Ingest calls.
+// Not thread-safe: one thread owns all calls. graph() is a view of the
+// state after the last Ingest; views taken from it stay valid and
+// unchanged while later ingests append (DESIGN.md §14).
 #ifndef DEKG_SERVE_LIVE_GRAPH_H_
 #define DEKG_SERVE_LIVE_GRAPH_H_
 
@@ -40,8 +40,9 @@ Status ValidateTriplesForScoring(const KnowledgeGraph& graph,
 
 struct LiveGraphConfig {
   // Hard cap on entity-id space growth; an ingest that would exceed it is
-  // rejected whole (kBadEntity). Guards the O(num_entities) extraction
-  // scan and the embedding table against hostile ids.
+  // rejected whole (kBadEntity). Bounds what a hostile id can make the
+  // server allocate: one CLRM fusion row and one adjacency slot per
+  // entity id below it.
   int32_t max_entities = 1 << 20;
 };
 
@@ -61,9 +62,9 @@ struct IngestReport {
 
 class LiveGraph {
  public:
-  // Takes a built (static) base graph — offline, the train split — and
-  // switches it into dynamic mode. Emerging triples arrive via Ingest.
-  LiveGraph(KnowledgeGraph base, const LiveGraphConfig& config);
+  // Copies the base graph — offline, the train split — into a store this
+  // LiveGraph alone appends to. Emerging triples arrive via Ingest.
+  LiveGraph(const KnowledgeGraph& base, const LiveGraphConfig& config);
 
   const KnowledgeGraph& graph() const { return graph_; }
 
@@ -88,7 +89,8 @@ class LiveGraph {
 
  private:
   LiveGraphConfig config_;
-  KnowledgeGraph graph_;
+  GraphWriter writer_;
+  KnowledgeGraph graph_;  // writer_.View() as of the last Ingest
   uint64_t ingested_ = 0;
 };
 

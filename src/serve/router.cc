@@ -1,17 +1,14 @@
 #include "serve/router.h"
 
-#include <utility>
-
 #include "common/thread_pool.h"
 
 namespace dekg::serve {
 
-Router::Router(core::DekgIlpModel* model, KnowledgeGraph base,
+Router::Router(core::DekgIlpModel* model, const KnowledgeGraph& base,
                const RouterConfig& config)
     : config_(config),
       model_(model),
-      writer_(model, std::move(base), config.engine.live_graph,
-              config.engine.precision),
+      writer_(model, base, config.engine.live_graph, config.engine.precision),
       shard_map_(config.num_shards) {
   DEKG_CHECK_GE(config_.num_shards, 1);
   shards_.reserve(static_cast<size_t>(config_.num_shards));

@@ -26,9 +26,9 @@
 // before Ingest returns, and the response carries the summed
 // patched/repaired/invalidated counters. With it off, Ingest returns as
 // soon as the new snapshot is published and each shard catches up at
-// its next ScoreBatch — that is the wait-free-reader mode the snapshot
+// its next ScoreBatch — that is the concurrent-reader mode the snapshot
 // churn test exercises (a reader scoring concurrently with the writer
-// never blocks and never sees a half-applied batch).
+// never waits for ingest work and never sees a half-applied batch).
 //
 // Threading: ScoreBatch, Ingest, and Stats are scheduler-thread calls
 // (one at a time), like the engine they replace. The exception is the
@@ -60,7 +60,7 @@ struct RouterConfig {
   // ingest responses carry exact patched/repaired/invalidated counts and
   // the scheduler-serialized server behaves exactly like the pre-shard
   // engine. false: Ingest returns at snapshot publication; shards catch
-  // up lazily at their next ScoreBatch (wait-free readers).
+  // up lazily at their next ScoreBatch (readers never wait for ingest).
   bool synchronous_maintenance = true;
 };
 
@@ -68,7 +68,7 @@ class Router {
  public:
   // `model` must outlive the router and is treated as frozen. `base` is
   // the built graph the server starts from.
-  Router(core::DekgIlpModel* model, KnowledgeGraph base,
+  Router(core::DekgIlpModel* model, const KnowledgeGraph& base,
          const RouterConfig& config);
 
   int32_t num_shards() const { return config_.num_shards; }

@@ -1,33 +1,37 @@
 // Epoch-snapshot (RCU) publication of the live graph (DESIGN.md §14).
 //
 // The sharded serving stack separates the single writer (ingest) from
-// many readers (scoring) without locks on the read path:
+// many readers (scoring); a reader never waits for ingest work:
 //
-//  * `GraphSnapshot` is an immutable copy of the graph plus the
+//  * `GraphSnapshot` is an immutable view of the graph plus the
 //    materialized CLRM fusion rows, tagged with a monotonically
 //    increasing epoch. Scoring grabs one shared_ptr at batch start and
 //    reads it for the whole batch — a concurrent ingest can never move
 //    the data under a reader's feet.
-//  * `SnapshotWriter` owns the mutable state: a dynamic-mode LiveGraph
-//    and the current row table. Ingest applies the batch to the writer
-//    graph, refreshes exactly the touched rows, then publishes a fresh
-//    snapshot with one atomic shared_ptr store. Readers that loaded the
-//    old snapshot keep it alive until their batch finishes; nobody
-//    blocks.
-//  * `IngestDelta` records what each epoch ingested (the admitted batch
-//    in order plus its deduplicated touched entities). Snapshots chain
-//    deltas backwards, so a shard engine that slept through k epochs can
-//    collect the missed batches and patch its subgraph cache as if it
-//    had seen one combined ingest — exactly the situation the PR-7
-//    re-relaxation handles (the current graph equals the cached graph
-//    plus the combined batch). The chain retains only triple lists, the
-//    same asymptotic footprint as the monotonically growing graph
-//    itself.
+//  * `SnapshotWriter` owns the mutable state: a LiveGraph (the only
+//    writer of its append-only graph store) and the current row tables.
+//    Ingest appends the batch, refreshes exactly the touched rows, then
+//    publishes a fresh snapshot by swapping one shared_ptr under a mutex
+//    that guards nothing else — readers hold it only to copy the pointer.
+//    (std::atomic<std::shared_ptr> is not used: libstdc++ 12's load()
+//    releases its internal lock with a relaxed store, so a reader's read
+//    of the pointer races with the writer's next store — TSan reports
+//    it.) Readers that loaded the old snapshot keep it alive until their
+//    batch finishes.
+//  * What an epoch ingested needs no record of its own: the graph is
+//    append-only, so the edges a shard engine missed are the snapshot's
+//    edge ids from the count it last caught up to, in ingest order.
 //
-// Costs, stated plainly: publishing copies the graph (O(V+E)) and the
-// row *pointer* table (O(V) pointer copies; unchanged rows are shared
-// between snapshots). That is the price of wait-free readers; the
-// batcher amortizes it by admitting ingest in batches.
+// Costs, stated plainly: publishing copies and frees nothing that grows
+// with the graph. The snapshot graph is an O(1) view (shared store, entity
+// count, edge count), and the row tables are versioned (serve/row_table.h):
+// an ingest adds one new version per touched row and shares every other
+// row with the previous epoch; a replaced version is freed once no older
+// snapshot remains. An
+// ingest costs O(batch + touched rows), plus O(degree) to move a node's
+// adjacency list when it outgrows its block (amortized O(1) per edge) and
+// a triple-index rehash each time the edge count doubles. Old snapshots
+// stay exact: appends land past every published view's prefix.
 //
 // Thread contract: exactly one thread calls Ingest at a time (the
 // scheduler thread, or the router's caller). Current() is safe from any
@@ -40,6 +44,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -48,21 +53,9 @@
 #include "quant/quantize.h"
 #include "serve/live_graph.h"
 #include "serve/protocol.h"
+#include "serve/row_table.h"
 
 namespace dekg::serve {
-
-// What one ingest epoch admitted. Immutable once published; `prev` links
-// to the previous epoch's delta (nullptr for the first post-base epoch).
-struct IngestDelta {
-  uint64_t epoch = 0;
-  // The admitted batch, in ingest order (duplicates included — they
-  // carry CLRM multiplicity).
-  std::vector<Triple> triples;
-  // Deduplicated ascending endpoints of the batch: the only entities
-  // whose relation tables changed.
-  std::vector<EntityId> touched;
-  std::shared_ptr<const IngestDelta> prev;
-};
 
 // An immutable view of the graph at one epoch. Readers hold it by
 // shared_ptr; the last reader (or the writer's next publish) frees it.
@@ -74,37 +67,35 @@ struct GraphSnapshot {
   // Storage precision of the fusion rows below: exactly one of
   // entity_emb (fp32) / entity_emb_q (fp16 or int8) is populated.
   quant::Precision precision = quant::Precision::kFp32;
-  // Materialized CLRM fusion rows, [1, dim] each; row e always equals
-  // EmbedEntity(RelationComponentTable(e)) for `graph`. Rows are shared
-  // with other snapshots when unchanged. Empty when CLRM is off.
-  std::vector<std::shared_ptr<const Tensor>> entity_emb;
+  // Materialized CLRM fusion rows, [1, dim] each; *entity_emb[e] always
+  // equals EmbedEntity(RelationComponentTable(e)) for `graph`. Rows are
+  // shared with other snapshots when unchanged. Empty when CLRM is off.
+  RowTable<Tensor>::Version entity_emb;
   // Quantized fusion rows (fp16/int8 precision): row e is
   // QuantizeRow(EmbedEntity(RelationComponentTable(e))). The fp32 rows
   // are NOT retained alongside — dropping them is the entire footprint
   // win (DESIGN.md §15).
-  std::vector<std::shared_ptr<const quant::QuantRow>> entity_emb_q;
-  // Delta chain head: the delta that produced this epoch (nullptr for
-  // the base snapshot). Walking `prev` reaches every earlier epoch.
-  std::shared_ptr<const IngestDelta> deltas;
+  RowTable<quant::QuantRow>::Version entity_emb_q;
 };
 
 class SnapshotWriter {
  public:
-  // Takes the built base graph, materializes the CLRM row table
-  // (parallelized over entities, bit-identical at any thread count), and
-  // publishes the epoch-0 snapshot. `model` must outlive the writer and
+  // Copies the base graph into the writer's own store, materializes the
+  // CLRM row table (parallelized over entities, bit-identical at any
+  // thread count), and publishes the epoch-0 snapshot. `model` must outlive the writer and
   // is treated as frozen.
   // `precision` selects the storage of the materialized rows: fp32 keeps
   // plain tensors (the exact mode), fp16/int8 quantizes each row as it
   // is materialized and never retains the fp32 copy.
-  SnapshotWriter(core::DekgIlpModel* model, KnowledgeGraph base,
+  SnapshotWriter(core::DekgIlpModel* model, const KnowledgeGraph& base,
                  const LiveGraphConfig& config,
                  quant::Precision precision = quant::Precision::kFp32);
 
-  // The most recently published snapshot. Wait-free for readers; safe
-  // from any thread.
+  // The most recently published snapshot. Safe from any thread; never
+  // waits for ingest work (the lock covers a pointer copy).
   std::shared_ptr<const GraphSnapshot> Current() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(published_mutex_);
+    return published_;
   }
 
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -129,30 +120,36 @@ class SnapshotWriter {
 
   // Total bytes of the materialized fusion-row payload at the current
   // precision (0 when CLRM is off) — the serve STATS frozen-model
-  // accounting. O(V) walk; called from the stats path only.
+  // accounting. Every row has the zero row's size.
   uint64_t FrozenRowBytes() const;
 
   uint64_t ingested_triples() const { return live_.ingested_triples(); }
   uint64_t embedding_refreshes() const { return refreshes_; }
 
  private:
-  void Publish(std::shared_ptr<const IngestDelta> delta);
+  void Publish(uint64_t epoch);
 
   // Materializes (and, under a quantized precision, quantizes) the
-  // fusion row for entity e against the current writer graph.
-  std::shared_ptr<const Tensor> MaterializeRow(EntityId e) const;
-  std::shared_ptr<const quant::QuantRow> MaterializeRowQ(EntityId e) const;
+  // fusion row of a relation-component table.
+  Tensor MakeRow(const core::RelationTable& table) const;
+  quant::QuantRow MakeRowQ(const core::RelationTable& table) const;
+  // The row table at construction: every entity's row, with the
+  // all-zero table's row as the fill for entities still to come. Empty
+  // when CLRM is off or the table is not `wanted` at this precision.
+  template <typename Row, typename Make>
+  RowTable<Row> InitialRows(bool wanted, const Make& make) const;
 
   core::DekgIlpModel* model_;
   quant::Precision precision_;
   LiveGraph live_;
   // Exactly one populated, by precision_ (fp32 rows are dropped entirely
   // in quantized modes — that is the footprint reduction).
-  std::vector<std::shared_ptr<const Tensor>> rows_;
-  std::vector<std::shared_ptr<const quant::QuantRow>> qrows_;
+  RowTable<Tensor> rows_;
+  RowTable<quant::QuantRow> qrows_;
   uint64_t refreshes_ = 0;
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<std::shared_ptr<const GraphSnapshot>> published_;
+  mutable std::mutex published_mutex_;  // guards published_ only
+  std::shared_ptr<const GraphSnapshot> published_;
 };
 
 }  // namespace dekg::serve

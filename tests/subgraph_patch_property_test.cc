@@ -22,7 +22,7 @@ namespace dekg {
 namespace {
 
 struct RandomCase {
-  KnowledgeGraph graph;  // dynamic, already containing the new edges
+  KnowledgeGraph graph;  // built over the base edges, then the new edges
   std::vector<Triple> new_edges;
   EntityId head = 0;
   EntityId tail = 0;
@@ -37,14 +37,13 @@ RandomCase MakeCase(uint64_t seed, int32_t num_entities, int32_t num_edges,
   Rng rng(seed);
   const int32_t num_relations = 4;
   RandomCase c{KnowledgeGraph(num_entities, num_relations), {}, 0, 0};
+  std::vector<Triple> triples;
   for (int32_t i = 0; i < num_edges; ++i) {
-    c.graph.AddTriple(
+    triples.push_back(
         Triple{static_cast<EntityId>(rng.UniformInt(0, num_entities - 1)),
                static_cast<RelationId>(rng.UniformInt(0, num_relations - 1)),
                static_cast<EntityId>(rng.UniformInt(0, num_entities - 1))});
   }
-  c.graph.Build();
-  c.graph.BeginDynamic();
   c.head = static_cast<EntityId>(rng.UniformInt(0, num_entities - 1));
   do {
     c.tail = static_cast<EntityId>(rng.UniformInt(0, num_entities - 1));
@@ -54,9 +53,19 @@ RandomCase MakeCase(uint64_t seed, int32_t num_entities, int32_t num_edges,
                    static_cast<RelationId>(rng.UniformInt(0, num_relations - 1)),
                    static_cast<EntityId>(rng.UniformInt(0, num_entities - 1))};
     c.new_edges.push_back(t);
-    c.graph.AddTripleDynamic(t);
+    triples.push_back(t);
   }
+  c.graph = BuildGraph(num_entities, num_relations, triples);
   return c;
+}
+
+// `g` plus the appended triples, rebuilt statically (a built graph is
+// immutable; appends are the serve writer's).
+KnowledgeGraph WithTriples(const KnowledgeGraph& g,
+                           const std::vector<Triple>& appended) {
+  std::vector<Triple> triples = g.Triples();
+  triples.insert(triples.end(), appended.begin(), appended.end());
+  return BuildGraph(g.num_entities(), g.num_relations(), triples);
 }
 
 // The fresh blocked-BFS field restricted to `entities`.
@@ -229,8 +238,8 @@ TEST(SubgraphPatchPropertyTest, DuplicateEdgesNeverChangeLabels) {
       const Triple t = existing[static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(existing.size()) - 1))];
       dup_batch.push_back(t);
-      c.graph.AddTripleDynamic(t);
     }
+    c.graph = WithTriples(c.graph, dup_batch);
 
     bool head_changed = false;
     bool tail_changed = false;
@@ -260,7 +269,6 @@ TEST(SubgraphPatchPropertyTest, BoundaryCrossingEdgeForcesFallback) {
   KnowledgeGraph g(8, 1);
   for (EntityId e = 0; e + 1 < 8; ++e) g.AddTriple(Triple{e, 0, e + 1});
   g.Build();
-  g.BeginDynamic();
 
   SubgraphConfig config;
   SubgraphWorkspace workspace;
@@ -271,9 +279,8 @@ TEST(SubgraphPatchPropertyTest, BoundaryCrossingEdgeForcesFallback) {
   // In-set shortcut: patchable, and the head field actually improves
   // (d(0,3) drops from 3 via 0-1, 1-3... with tail 2 blocked).
   {
-    KnowledgeGraph shortcut = g;  // value copy: independent dynamic graph
     const Triple t{1, 0, 3};
-    shortcut.AddTripleDynamic(t);
+    const KnowledgeGraph shortcut = WithTriples(g, {t});
     TouchedLabels patched = labels;
     bool head_changed = false;
     bool tail_changed = false;
@@ -295,9 +302,8 @@ TEST(SubgraphPatchPropertyTest, BoundaryCrossingEdgeForcesFallback) {
   // new neighbor 5 would land at t + 1 — still outside. Patchable, and
   // no label moves (the predicate must not be merely conservative).
   {
-    KnowledgeGraph boundary = g;
     const Triple t{4, 0, 5};
-    boundary.AddTripleDynamic(t);
+    const KnowledgeGraph boundary = WithTriples(g, {t});
     TouchedLabels patched = labels;
     bool head_changed = false;
     bool tail_changed = false;
@@ -318,7 +324,7 @@ TEST(SubgraphPatchPropertyTest, BoundaryCrossingEdgeForcesFallback) {
   // refuse (the head field never reaches 3 and legitimately succeeds).
   {
     const Triple t{3, 0, 5};
-    g.AddTripleDynamic(t);
+    g = WithTriples(g, {t});
     TouchedLabels patched = labels;
     bool changed = false;
     EXPECT_TRUE(RelaxDistancesAfterEdgeInsert(g, 0, 2, config.num_hops, {t},
