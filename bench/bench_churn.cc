@@ -1,5 +1,5 @@
 // DEKG-churn benchmark (DESIGN.md §13): a closed-loop ingest+scoring
-// workload driven straight into two InferenceEngines stepping the SAME
+// workload driven straight into two one-shard Routers stepping the SAME
 // schedule — one maintaining cached subgraphs in place (patch_cache on),
 // one with the invalidate-on-ingest reference policy. Swept over churn
 // rate (one ingest every 8 / 2 / 1 score rounds). Every score round is
@@ -37,15 +37,16 @@
 #include "graph/subgraph.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
+#include "serve/router.h"
 #include "serve/snapshot.h"
 
 namespace dekg::bench {
 namespace {
 
-using serve::EngineConfig;
 using serve::EngineStats;
-using serve::InferenceEngine;
 using serve::IngestResponse;
+using serve::Router;
+using serve::RouterConfig;
 using serve::ScoreItem;
 using serve::SnapshotWriter;
 using serve::Status;
@@ -103,16 +104,15 @@ ChurnPoint RunPoint(core::DekgIlpModel* model, const DekgDataset& dataset,
   ChurnPoint point;
   point.ingest_every = ingest_every;
 
-  EngineConfig patch_config;
-  EngineConfig invalidate_config;
-  invalidate_config.patch_cache = false;
+  RouterConfig patch_config;
+  RouterConfig invalidate_config;
+  invalidate_config.engine.patch_cache = false;
   // This bench measures subgraph-cache maintenance; the score memo
   // would absorb intra-epoch repeats and hide the patch/invalidate gap.
-  patch_config.score_memo_capacity = 0;
-  invalidate_config.score_memo_capacity = 0;
-  InferenceEngine patch_engine(model, dataset.original_graph(), patch_config);
-  InferenceEngine invalidate_engine(model, dataset.original_graph(),
-                                    invalidate_config);
+  patch_config.engine.score_memo_capacity = 0;
+  invalidate_config.engine.score_memo_capacity = 0;
+  Router patch_engine(model, dataset.original_graph(), patch_config);
+  Router invalidate_engine(model, dataset.original_graph(), invalidate_config);
 
   const std::vector<Triple>& emerging = dataset.emerging_triples();
   std::vector<Triple> ingested;

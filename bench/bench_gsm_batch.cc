@@ -1,7 +1,7 @@
-// Packed-batch GSM scoring throughput (DESIGN.md §11): batch-size x
-// bucket-policy sweep over a cache-hit workload (subgraphs pre-extracted,
-// as the evaluator and the serving engine see them), against the
-// sequential per-subgraph forward. Every swept configuration is gated on
+// Packed-batch GSM scoring throughput (DESIGN.md §11): group-cap sweep
+// over a cache-hit workload (subgraphs pre-extracted, as the evaluator and
+// the serving engine see them), against the sequential taped
+// per-subgraph forward. Every swept configuration is gated on
 // bitwise identity with the sequential scores; wall-clock speedup is
 // machine-dependent and reported only, so — like bench_parallel — only an
 // identity failure flips the exit code.
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,20 +43,7 @@ double TimeBest(int repetitions, F&& fn) {
   return best;
 }
 
-const char* BucketName(core::GsmBatchOptions::Bucket bucket) {
-  switch (bucket) {
-    case core::GsmBatchOptions::Bucket::kNone:
-      return "none";
-    case core::GsmBatchOptions::Bucket::kBySize:
-      return "by_size";
-    case core::GsmBatchOptions::Bucket::kByPow2:
-      return "by_pow2";
-  }
-  return "?";
-}
-
 struct SweepPoint {
-  std::string bucket;
   int32_t max_batch = 0;
   int threads = 0;
   double seconds = 0.0;
@@ -130,52 +116,45 @@ int main() {
     });
     sequential_s.push_back(seq);
 
-    for (auto bucket : {core::GsmBatchOptions::Bucket::kNone,
-                        core::GsmBatchOptions::Bucket::kBySize,
-                        core::GsmBatchOptions::Bucket::kByPow2}) {
-      for (int32_t max_batch : {4, 16, 64}) {
-        core::GsmBatchOptions options;
-        options.bucket = bucket;
-        options.max_batch = max_batch;
-        std::vector<float> scores(n);
-        const double secs = TimeBest(3, [&] {
-          const auto groups = core::GroupForPacking(sub_ptrs, indices, options);
-          for (const auto& group : groups) {
-            std::vector<const Subgraph*> gs;
-            std::vector<RelationId> gr;
-            for (int64_t i : group) {
-              gs.push_back(sub_ptrs[static_cast<size_t>(i)]);
-              gr.push_back(rels[static_cast<size_t>(i)]);
-            }
-            const std::vector<float> out = gsm.ScoreSubgraphsPacked(gs, gr);
-            for (size_t k = 0; k < group.size(); ++k) {
-              scores[static_cast<size_t>(group[k])] = out[k];
-            }
+    for (int32_t max_batch : {1, 4, 8, 16, 64}) {
+      core::GsmBatchOptions options;
+      options.max_batch = max_batch;
+      std::vector<float> scores(n);
+      const double secs = TimeBest(3, [&] {
+        const auto groups = core::GroupForPacking(sub_ptrs, indices, options);
+        for (const auto& group : groups) {
+          std::vector<const Subgraph*> gs;
+          std::vector<RelationId> gr;
+          for (int64_t i : group) {
+            gs.push_back(sub_ptrs[static_cast<size_t>(i)]);
+            gr.push_back(rels[static_cast<size_t>(i)]);
           }
-        });
-        SweepPoint point;
-        point.bucket = BucketName(bucket);
-        point.max_batch = max_batch;
-        point.threads = t;
-        point.seconds = secs;
-        point.speedup = secs > 0.0 ? seq / secs : 0.0;
-        point.identical = scores == reference;
-        sweep.push_back(point);
-      }
+          const std::vector<float> out = gsm.ScoreSubgraphsPacked(gs, gr);
+          for (size_t k = 0; k < group.size(); ++k) {
+            scores[static_cast<size_t>(group[k])] = out[k];
+          }
+        }
+      });
+      SweepPoint point;
+      point.max_batch = max_batch;
+      point.threads = t;
+      point.seconds = secs;
+      point.speedup = secs > 0.0 ? seq / secs : 0.0;
+      point.identical = scores == reference;
+      sweep.push_back(point);
     }
   }
   SetDefaultThreadCount(0);
 
-  std::printf("\n%-9s %10s %8s %12s %9s %10s\n", "bucket", "max_batch",
-              "threads", "seconds", "speedup", "identical");
+  std::printf("\n%10s %8s %12s %9s %10s\n", "max_batch", "threads",
+              "seconds", "speedup", "identical");
   for (size_t t = 0; t < thread_settings.size(); ++t) {
-    std::printf("%-9s %10s %8d %12.6f %9s %10s\n", "(seq)", "1",
-                thread_settings[t], sequential_s[t], "1.00x", "yes");
+    std::printf("%10s %8d %12.6f %9s %10s\n", "(seq)", thread_settings[t],
+                sequential_s[t], "1.00x", "yes");
   }
   for (const SweepPoint& p : sweep) {
-    std::printf("%-9s %10d %8d %12.6f %8.2fx %10s\n", p.bucket.c_str(),
-                p.max_batch, p.threads, p.seconds, p.speedup,
-                p.identical ? "yes" : "NO");
+    std::printf("%10d %8d %12.6f %8.2fx %10s\n", p.max_batch, p.threads,
+                p.seconds, p.speedup, p.identical ? "yes" : "NO");
   }
 
   std::FILE* json = std::fopen("BENCH_gsm_batch.json", "w");
@@ -194,11 +173,11 @@ int main() {
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
     std::fprintf(json,
-                 "%s\n    {\"bucket\": \"%s\", \"max_batch\": %d, "
-                 "\"threads\": %d, \"seconds\": %.6f, "
-                 "\"speedup_vs_sequential\": %.3f, \"identical\": %s}",
-                 i == 0 ? "" : ",", p.bucket.c_str(), p.max_batch, p.threads,
-                 p.seconds, p.speedup, p.identical ? "true" : "false");
+                 "%s\n    {\"max_batch\": %d, \"threads\": %d, "
+                 "\"seconds\": %.6f, \"speedup_vs_sequential\": %.3f, "
+                 "\"identical\": %s}",
+                 i == 0 ? "" : ",", p.max_batch, p.threads, p.seconds,
+                 p.speedup, p.identical ? "true" : "false");
   }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);

@@ -1,8 +1,8 @@
 // Serial-vs-parallel speedup for the three layers the thread pool
-// accelerates: the evaluation ranking loop, GSM batched subgraph scoring,
-// and the tensor kernels (MatMul + large elementwise). Also verifies the
-// determinism contract (parallel output bit-identical to serial) and the
-// dense-vs-zero-skip MatMul tradeoff.
+// accelerates: the evaluation ranking loop, GSM batched subgraph scoring
+// (extraction plus packed forwards, through DekgIlpPredictor), and the
+// tensor kernels (MatMul + large elementwise). Also verifies the
+// determinism contract (parallel output bit-identical to serial).
 //
 // Thread count: DEKG_BENCH_THREADS if set, else the machine's hardware
 // concurrency, floored at 4 so the report always exercises a real pool
@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/dekg_ilp.h"
-#include "core/gsm.h"
 #include "tensor/tensor.h"
 
 namespace dekg::bench {
@@ -93,11 +92,12 @@ LayerReport BenchEvaluate(const DekgDataset& dataset, int threads) {
 }
 
 LayerReport BenchGsmBatch(const DekgDataset& dataset, int threads) {
-  core::GsmConfig config;
+  core::DekgIlpConfig config;
   config.num_relations = dataset.num_relations();
   config.dim = 16;
-  Rng init(3);
-  core::Gsm gsm(config, &init);
+  config.use_clrm = false;  // GSM only
+  core::DekgIlpModel model(config, /*seed=*/3);
+  core::DekgIlpPredictor predictor(&model);
   const KnowledgeGraph& graph = dataset.inference_graph();
 
   std::vector<Triple> triples;
@@ -111,11 +111,11 @@ LayerReport BenchGsmBatch(const DekgDataset& dataset, int threads) {
   report.name = "gsm_batch_scoring";
   SetDefaultThreadCount(1);
   report.serial_seconds = TimeBest(2, [&] {
-    serial_scores = gsm.ScoreTriplesBatch(graph, triples, /*seed=*/9);
+    serial_scores = predictor.ScoreTriples(graph, triples);
   });
   SetDefaultThreadCount(threads);
   report.parallel_seconds = TimeBest(2, [&] {
-    parallel_scores = gsm.ScoreTriplesBatch(graph, triples, /*seed=*/9);
+    parallel_scores = predictor.ScoreTriples(graph, triples);
   });
   SetDefaultThreadCount(0);
   report.identical = serial_scores == parallel_scores;
@@ -153,40 +153,6 @@ LayerReport BenchElementwise(int threads) {
   SetDefaultThreadCount(0);
   report.identical = AllClose(serial_out, parallel_out, 0.0f);
   return report;
-}
-
-// Satellite check: the zero-skip branch must lose on dense inputs and win
-// on mostly-zero inputs, both against the dense kernel, single-threaded.
-void BenchZeroSkipTradeoff(std::FILE* json) {
-  Rng rng(29);
-  SetDefaultThreadCount(1);
-  const Tensor dense = Tensor::Uniform(Shape{256, 256}, 0.5f, 1.0f, &rng);
-  const Tensor b = Tensor::Uniform(Shape{256, 256}, -1.0f, 1.0f, &rng);
-  Tensor sparse = Tensor::Zeros(Shape{256, 256});
-  for (int64_t i = 0; i < sparse.dim(0); ++i) {
-    // ~4 nonzeros per row, like one-hot double-radius node labels.
-    for (int j = 0; j < 4; ++j) {
-      sparse.At(i, static_cast<int64_t>(rng.UniformUint64(256))) = 1.0f;
-    }
-  }
-  const double dense_plain = TimeBest(3, [&] { MatMul(dense, b); });
-  const double dense_skip = TimeBest(3, [&] { MatMulSkipZeroLhs(dense, b); });
-  const double sparse_plain = TimeBest(3, [&] { MatMul(sparse, b); });
-  const double sparse_skip = TimeBest(3, [&] { MatMulSkipZeroLhs(sparse, b); });
-  SetDefaultThreadCount(0);
-  std::printf("\nzero-skip tradeoff (1 thread, 256x256x256):\n");
-  std::printf("  dense lhs : plain %.6fs  skip %.6fs  (skip/plain %.2fx)\n",
-              dense_plain, dense_skip, dense_skip / dense_plain);
-  std::printf("  sparse lhs: plain %.6fs  skip %.6fs  (skip/plain %.2fx)\n",
-              sparse_plain, sparse_skip, sparse_skip / sparse_plain);
-  std::fprintf(json,
-               ",\n  \"zero_skip_tradeoff\": {\n"
-               "    \"dense_plain_s\": %.6f,\n"
-               "    \"dense_skip_s\": %.6f,\n"
-               "    \"sparse_plain_s\": %.6f,\n"
-               "    \"sparse_skip_s\": %.6f\n"
-               "  }",
-               dense_plain, dense_skip, sparse_plain, sparse_skip);
 }
 
 }  // namespace
@@ -239,9 +205,7 @@ int main() {
                  i == 0 ? "" : ",", r.name.c_str(), r.serial_seconds,
                  r.parallel_seconds, r.Speedup(), r.identical ? "true" : "false");
   }
-  std::fprintf(json, "\n  }");
-  BenchZeroSkipTradeoff(json);
-  std::fprintf(json, "\n}\n");
+  std::fprintf(json, "\n  }\n}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_parallel.json\n");
 

@@ -1,4 +1,4 @@
-// Quantized-serving sweep (DESIGN.md §15): one standalone engine per
+// Quantized-serving sweep (DESIGN.md §15): one one-shard router per
 // storage precision {fp32, fp16, int8} over the same scoring workload,
 // measuring the frozen-model footprint (fusion rows + R-GCN dense
 // transforms, the EngineStats protocol-v4 accounting), hot scoring
@@ -30,13 +30,14 @@
 #include "common/timer.h"
 #include "core/dekg_ilp.h"
 #include "serve/engine.h"
+#include "serve/router.h"
 
 namespace dekg::bench {
 namespace {
 
-using serve::EngineConfig;
 using serve::EngineStats;
-using serve::InferenceEngine;
+using serve::Router;
+using serve::RouterConfig;
 using serve::ScoreItem;
 
 int EnvInt(const char* name, int fallback) {
@@ -109,12 +110,12 @@ int main() {
     PrecisionPoint point;
     point.precision = precision;
 
-    EngineConfig engine_config;
-    engine_config.precision = precision;
+    RouterConfig router_config;
+    router_config.engine.precision = precision;
     // Memo off: the timed loop must exercise the scoring pipeline, not
     // replay stored doubles.
-    engine_config.score_memo_capacity = 0;
-    InferenceEngine engine(&model, dataset.inference_graph(), engine_config);
+    router_config.engine.score_memo_capacity = 0;
+    Router engine(&model, dataset.inference_graph(), router_config);
 
     const EngineStats stats = engine.Stats();
     point.frozen_row_bytes = stats.frozen_row_bytes;

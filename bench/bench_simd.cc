@@ -93,26 +93,6 @@ Tensor OldMatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor OldMatMulSkipZero(const Tensor& a, const Tensor& b) {
-  const int64_t m = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t n = b.dim(1);
-  Tensor out(Shape{m, n});
-  const float* pa = a.Data();
-  const float* pb = b.Data();
-  float* po = out.Data();
-  for (int64_t i = 0; i < m; ++i) {
-    float* out_row = po + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0f) continue;
-      const float* b_row = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
-    }
-  }
-  return out;
-}
-
 // Fixed-lane contract reference for the n == 1 dot column (the order the
 // new MatMul path is *specified* to produce; the historical sequential
 // kernel is timed as the baseline but is not the bitwise reference).
@@ -280,28 +260,6 @@ int main() {
     p.seconds_new = TimeBest(5, [&] { MatMul(a, b); });
     p.speedup = p.seconds_old / p.seconds_new;
     p.gflops = 2.0 * static_cast<double>(m * k) / p.seconds_new / 1e9;
-    kernels.push_back(p);
-  }
-
-  // -- Zero-skipping MatMul on a mostly-zero lhs (one-hot node features).
-  // Order-preserving: bitwise vs the historical zero-skip kernel.
-  {
-    Rng rng(23);
-    Tensor a = Tensor::Zeros({512, 64});
-    for (int64_t i = 0; i < a.numel(); ++i) {
-      if (rng.Bernoulli(0.12)) {
-        a.Data()[i] = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
-      }
-    }
-    Tensor b = RandomTensor({64, 64}, 29);
-    KernelPoint p;
-    p.name = "matmul_skip_zero_512x64x64";
-    p.identical = BitEqual(MatMulSkipZeroLhs(a, b), OldMatMulSkipZero(a, b));
-    p.seconds_old = TimeBest(5, [&] { OldMatMulSkipZero(a, b); });
-    p.seconds_new = TimeBest(5, [&] { MatMulSkipZeroLhs(a, b); });
-    p.speedup = p.seconds_old / p.seconds_new;
-    p.gflops =
-        2.0 * static_cast<double>(512 * 64 * 64) / p.seconds_new / 1e9;
     kernels.push_back(p);
   }
 

@@ -25,9 +25,9 @@ DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
 DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
   ./bench_train
 
-# Packed-batch GSM scoring: every (bucket policy, batch size, threads)
-# point is gated on bitwise identity with sequential scoring; speedups
-# are reported, not gated.
+# Packed-batch GSM scoring: every (group cap, threads) point is gated on
+# bitwise identity with sequential scoring; speedups are reported, not
+# gated.
 DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
 DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
   ./bench_gsm_batch

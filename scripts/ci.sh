@@ -1,7 +1,9 @@
 #!/bin/sh
 # Single-entry CI gate, in increasing order of cost:
 #
-#   1. tier-1 build + ctest          (the correctness floor)
+#   1. tier-1 build + ctest          (the correctness floor), then the
+#                                     benchmark program (perfbench/),
+#                                     which compiles against src/
 #   2. vectorization check           (the SIMD kernels still auto-vectorize;
 #                                     a scalar regression fails no test)
 #   3. serve smoke                   (server binaries over real TCP: online
@@ -32,6 +34,11 @@ echo "== ci: tier-1 build + tests =="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+
+echo "== ci: benchmark program build + tests =="
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j
+ctest --test-dir build-perfbench --output-on-failure
 
 echo "== ci: vectorization check =="
 scripts/vectorization_check.sh

@@ -44,13 +44,23 @@ ag::Var Clrm::ScoreTriple(const RelationTable& head_table, RelationId rel,
   return ag::SumAll(ag::Mul(ag::Mul(head, rel_emb), tail));
 }
 
-ag::Var Clrm::ScoreEmbedded(const Tensor& head, RelationId rel,
-                            const Tensor& tail) const {
+float Clrm::ScoreEmbedded(const Tensor& head, RelationId rel,
+                          const Tensor& tail) const {
   DEKG_CHECK(rel >= 0 && rel < config_.num_relations);
-  ag::Var rel_emb = ag::GatherRows(relation_sem_, {rel});
-  // Same op order as ScoreTriple: Mul(Mul(head, rel), tail) then SumAll.
-  return ag::SumAll(ag::Mul(
-      ag::Mul(ag::Var::Constant(head), rel_emb), ag::Var::Constant(tail)));
+  const int64_t dim = config_.dim;
+  DEKG_CHECK_EQ(head.numel(), dim);
+  DEKG_CHECK_EQ(tail.numel(), dim);
+  const float* h = head.Data();
+  const float* r = relation_sem_.value().Data() + rel * dim;
+  const float* t = tail.Data();
+  // Same op order as ScoreTriple: Mul(Mul(head, rel), tail) rounds each
+  // product to float, then SumAll accumulates in index order in double.
+  double sum = 0.0;
+  for (int64_t d = 0; d < dim; ++d) {
+    const float hr = h[d] * r[d];
+    sum += hr * t[d];
+  }
+  return static_cast<float>(sum);
 }
 
 double Clrm::MeanNonzero(const RelationTable& table) {

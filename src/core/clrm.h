@@ -55,14 +55,14 @@ class Clrm : public nn::Module {
   ag::Var ScoreTriple(const RelationTable& head_table, RelationId rel,
                       const RelationTable& tail_table) const;
 
-  // DistMult decoder over already-fused entity representations: the
-  // serving fast path. When `head` / `tail` equal EmbedEntity(table)
-  // values ([1, dim] tensors), the result is bit-identical to ScoreTriple
-  // on the corresponding tables — the decoder applies the exact same op
-  // sequence, only the fusion matmul is skipped. Non-differentiable
-  // w.r.t. the entity inputs (they enter as constants).
-  ag::Var ScoreEmbedded(const Tensor& head, RelationId rel,
-                        const Tensor& tail) const;
+  // DistMult decoder over already-fused entity rows, tape-free: the
+  // inference row kernel (core::ScoreInference). When `head` / `tail`
+  // equal EmbedEntity(table) values ([1, dim] tensors), the result is
+  // bit-identical to ScoreTriple on the corresponding tables — the same
+  // float products in the same order, summed in index order in double
+  // as SumAll does; only the fusion matmul and the tape are skipped.
+  float ScoreEmbedded(const Tensor& head, RelationId rel,
+                      const Tensor& tail) const;
 
   // Contrastive loss for one entity's table (Eq. 7), averaged over the
   // configured number of sampled pairs. Returns an undefined Var when the

@@ -1,6 +1,9 @@
 #include "core/dekg_ilp.h"
 
+#include <unordered_map>
+
 #include "common/thread_pool.h"
+#include "quant/qkernels.h"
 
 namespace dekg::core {
 
@@ -78,6 +81,60 @@ ag::Var DekgIlpModel::ContrastiveLossForLink(const KnowledgeGraph& graph,
   return head_loss.defined() ? head_loss : tail_loss;
 }
 
+std::vector<double> ScoreInference(
+    const Clrm* clrm, const Gsm* gsm, const std::vector<Triple>& triples,
+    const std::vector<const Subgraph*>& subgraphs, const ClrmRows& rows,
+    const quant::RgcnQuantWeights* qweights, const GsmBatchOptions& options) {
+  const size_t n = triples.size();
+  std::vector<double> scores(n, 0.0);
+  // phi_sem from one row kernel per precision: the same float products and
+  // sum as Clrm::ScoreTriple when the rows are fp32.
+  const auto sem = [&](const Triple& t) -> float {
+    if (rows.quantized) {
+      const Tensor& rel_sem = clrm->relation_sem().value();
+      return quant::QuantDistMult(rows.quantized(t.head),
+                                  rel_sem.Data() + t.rel * rel_sem.dim(1),
+                                  rows.quantized(t.tail));
+    }
+    return clrm->ScoreEmbedded(rows.fp32(t.head), t.rel, rows.fp32(t.tail));
+  };
+  if (gsm == nullptr) {
+    for (size_t i = 0; i < n; ++i) scores[i] = static_cast<double>(sem(triples[i]));
+    return scores;
+  }
+  DEKG_CHECK_EQ(subgraphs.size(), n);
+  std::vector<int64_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = static_cast<int64_t>(i);
+  const std::vector<std::vector<int64_t>> groups =
+      GroupForPacking(subgraphs, all, options);
+  ParallelFor(0, static_cast<int64_t>(groups.size()), /*grain=*/0,
+              [&](int64_t begin, int64_t end) {
+                std::vector<const Subgraph*> group_subs;
+                std::vector<RelationId> group_rels;
+                for (int64_t g = begin; g < end; ++g) {
+                  const std::vector<int64_t>& idxs =
+                      groups[static_cast<size_t>(g)];
+                  group_subs.clear();
+                  group_rels.clear();
+                  for (int64_t i : idxs) {
+                    group_subs.push_back(subgraphs[static_cast<size_t>(i)]);
+                    group_rels.push_back(triples[static_cast<size_t>(i)].rel);
+                  }
+                  const std::vector<float> tpo =
+                      gsm->ScoreSubgraphsPacked(group_subs, group_rels, qweights);
+                  for (size_t k = 0; k < idxs.size(); ++k) {
+                    const size_t i = static_cast<size_t>(idxs[k]);
+                    // ScoreLink's ag::Add(sem, tpo): a float add, widened
+                    // afterwards.
+                    const float value =
+                        clrm != nullptr ? sem(triples[i]) + tpo[k] : tpo[k];
+                    scores[i] = static_cast<double>(value);
+                  }
+                }
+              });
+  return scores;
+}
+
 std::vector<double> DekgIlpPredictor::ScoreTriples(
     const KnowledgeGraph& inference_graph, const std::vector<Triple>& triples) {
   return ScoreTriplesCached(inference_graph, triples, /*cache=*/nullptr);
@@ -86,91 +143,43 @@ std::vector<double> DekgIlpPredictor::ScoreTriples(
 std::vector<double> DekgIlpPredictor::ScoreTriplesCached(
     const KnowledgeGraph& inference_graph, const std::vector<Triple>& triples,
     const SubgraphCache* cache) {
-  std::vector<double> scores(triples.size(), 0.0);
-  Gsm* gsm = model_->gsm();
-  // Cache hits already hold their subgraph, so their GNN forwards can be
-  // packed into block-diagonal batches; misses (and every triple when
-  // packing is off) keep the per-triple path. Packing is bitwise
-  // transparent, so the split never changes a score.
-  const bool pack =
-      gsm != nullptr && cache != nullptr && batch_options_.max_batch > 1;
+  const Clrm* clrm = model_->clrm();
+  const Gsm* gsm = model_->gsm();
+  // Subgraphs: cache hits, plus the misses extracted in parallel (inline
+  // when Evaluate already runs this call on a pool worker).
   std::vector<const Subgraph*> subs;
-  std::vector<int64_t> hits;
-  std::vector<int64_t> misses;
-  if (pack) {
+  std::vector<Subgraph> extracted;
+  if (gsm != nullptr) {
     subs.assign(triples.size(), nullptr);
+    std::vector<size_t> misses;
+    std::vector<Triple> miss_triples;
     for (size_t i = 0; i < triples.size(); ++i) {
-      subs[i] = cache->Find(triples[i]);
-      (subs[i] != nullptr ? hits : misses).push_back(static_cast<int64_t>(i));
+      if (cache != nullptr) subs[i] = cache->Find(triples[i]);
+      if (subs[i] != nullptr) continue;
+      misses.push_back(i);
+      miss_triples.push_back(triples[i]);
     }
-  } else {
-    misses.resize(triples.size());
-    for (size_t i = 0; i < triples.size(); ++i) {
-      misses[i] = static_cast<int64_t>(i);
+    extracted = gsm->ExtractBatch(inference_graph, miss_triples);
+    for (size_t k = 0; k < misses.size(); ++k) subs[misses[k]] = &extracted[k];
+  }
+
+  // One fused row per distinct endpoint, exactly as SnapshotWriter
+  // materializes its rows.
+  std::unordered_map<EntityId, Tensor> fused;
+  if (clrm != nullptr) {
+    for (const Triple& t : triples) {
+      for (EntityId e : {t.head, t.tail}) {
+        auto [it, fresh] = fused.try_emplace(e);
+        if (fresh) {
+          it->second =
+              clrm->EmbedEntity(inference_graph.RelationComponentTable(e)).value();
+        }
+      }
     }
   }
-  // Per-triple path. Subgraph extraction + encoding dominates scoring
-  // cost; independent triples split across the pool. When the evaluator
-  // already runs this predictor inside a parallel ranking loop, the
-  // nested ParallelFor degrades to inline serial execution automatically.
-  ParallelFor(0, static_cast<int64_t>(misses.size()), /*grain=*/0,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t k = begin; k < end; ++k) {
-                  const int64_t i = misses[static_cast<size_t>(k)];
-                  const Triple& t = triples[static_cast<size_t>(i)];
-                  Rng rng(MixSeed(seed_, static_cast<uint64_t>(i)));
-                  const Subgraph* subgraph =
-                      (cache != nullptr && !pack) ? cache->Find(t) : nullptr;
-                  ag::Var s = model_->ScoreLink(inference_graph, t,
-                                                /*training=*/false, &rng,
-                                                subgraph);
-                  scores[static_cast<size_t>(i)] =
-                      static_cast<double>(s.value().Data()[0]);
-                }
-              });
-  if (pack && !hits.empty()) {
-    Clrm* clrm = model_->clrm();
-    const std::vector<std::vector<int64_t>> groups =
-        GroupForPacking(subs, hits, batch_options_);
-    ParallelFor(
-        0, static_cast<int64_t>(groups.size()), /*grain=*/0,
-        [&](int64_t begin, int64_t end) {
-          std::vector<const Subgraph*> group_subs;
-          std::vector<RelationId> group_rels;
-          for (int64_t g = begin; g < end; ++g) {
-            const std::vector<int64_t>& idxs = groups[static_cast<size_t>(g)];
-            group_subs.clear();
-            group_rels.clear();
-            for (int64_t i : idxs) {
-              group_subs.push_back(subs[static_cast<size_t>(i)]);
-              group_rels.push_back(triples[static_cast<size_t>(i)].rel);
-            }
-            const std::vector<float> tpo =
-                gsm->ScoreSubgraphsPacked(group_subs, group_rels);
-            for (size_t k = 0; k < idxs.size(); ++k) {
-              const int64_t i = idxs[k];
-              const Triple& t = triples[static_cast<size_t>(i)];
-              float value = tpo[k];
-              if (clrm != nullptr) {
-                // Mirrors ScoreLink: sem and tpo are added in float
-                // before widening to double, so the packed path matches
-                // ag::Add(sem, tpo) bit-for-bit.
-                RelationTable head_table =
-                    inference_graph.RelationComponentTable(t.head);
-                RelationTable tail_table =
-                    inference_graph.RelationComponentTable(t.tail);
-                const float sem =
-                    clrm->ScoreTriple(head_table, t.rel, tail_table)
-                        .value()
-                        .Data()[0];
-                value = sem + value;
-              }
-              scores[static_cast<size_t>(i)] = static_cast<double>(value);
-            }
-          }
-        });
-  }
-  return scores;
+  ClrmRows rows;
+  rows.fp32 = [&](EntityId e) -> const Tensor& { return fused.at(e); };
+  return ScoreInference(clrm, gsm, triples, subs, rows, /*qweights=*/nullptr);
 }
 
 }  // namespace dekg::core

@@ -7,14 +7,17 @@
 #ifndef DEKG_CORE_DEKG_ILP_H_
 #define DEKG_CORE_DEKG_ILP_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/clrm.h"
 #include "core/gsm.h"
 #include "eval/evaluator.h"
 #include "kg/dataset.h"
 #include "nn/module.h"
+#include "quant/quantize.h"
 
 namespace dekg::core {
 
@@ -52,7 +55,8 @@ class DekgIlpModel : public nn::Module {
   Clrm* clrm() { return clrm_.get(); }
   Gsm* gsm() { return gsm_.get(); }
 
-  // phi(e_i, r_k, e_j) on the given graph (Eq. 13). Differentiable.
+  // phi(e_i, r_k, e_j) on the given graph (Eq. 13). Differentiable: the
+  // training path. Inference scores come from ScoreInference below.
   // When `subgraph` is non-null it must be the enclosing subgraph of
   // `triple` on `graph` (e.g. served by a SubgraphCache); GSM scores it
   // directly instead of re-extracting. Extraction is deterministic, so
@@ -72,15 +76,42 @@ class DekgIlpModel : public nn::Module {
   std::unique_ptr<Gsm> gsm_;
 };
 
-// LinkPredictor adapter for the shared evaluation harness. Inference-mode
-// scoring reads the model parameters without mutating them, so batches
-// split across the thread pool and Evaluate() may call ScoreTriples from
-// several threads at once; every triple draws from its own seed-derived
-// Rng stream, keeping scores bit-identical at any thread count.
+// The fused CLRM entity rows phi_sem reads (Eq. 3, materialized): row(e)
+// is EmbedEntity(RelationComponentTable(e)) on the scoring graph, stored
+// at fp32 or quantized. Exactly one lookup is set when the model has a
+// CLRM; neither is read without one.
+struct ClrmRows {
+  std::function<const Tensor&(EntityId)> fp32;
+  std::function<const quant::QuantRow&(EntityId)> quantized;
+};
+
+// The one inference path: phi = phi_sem + phi_tpo (Eq. 13) at test time,
+// tape-free and RNG-free (edge dropout is training-only, so a score is a
+// pure function of the triple and the graph the inputs came from).
+// `subgraphs[i]` is triple i's enclosing subgraph (unused and may be empty
+// when `gsm` is null). The subgraphs are grouped by GroupForPacking and
+// scored with Gsm::ScoreSubgraphsPacked (`qweights` selects the quantized
+// dense transforms); phi_sem comes from one DistMult row kernel —
+// Clrm::ScoreEmbedded over fp32 rows, quant::QuantDistMult over quantized
+// ones — and is added in float before widening to double. With fp32 rows
+// and no qweights every score equals DekgIlpModel::ScoreLink(graph, t,
+// training=false, ·) bit for bit, for every grouping and thread count.
+std::vector<double> ScoreInference(
+    const Clrm* clrm, const Gsm* gsm, const std::vector<Triple>& triples,
+    const std::vector<const Subgraph*>& subgraphs, const ClrmRows& rows,
+    const quant::RgcnQuantWeights* qweights,
+    const GsmBatchOptions& options = GsmBatchOptions());
+
+// LinkPredictor adapter for the shared evaluation harness. Scoring reads
+// the model parameters without mutating them, so Evaluate() may call
+// ScoreTriples from several threads at once. A batch's subgraphs come
+// from the cache or a fresh extraction, its CLRM rows are fused once per
+// distinct endpoint, and ScoreInference scores it: a score depends only on
+// (triple, inference graph), so it is bit-identical at any thread count,
+// batch composition, and cache state.
 class DekgIlpPredictor : public LinkPredictor {
  public:
-  explicit DekgIlpPredictor(DekgIlpModel* model)
-      : model_(model), seed_(123) {}
+  explicit DekgIlpPredictor(DekgIlpModel* model) : model_(model) {}
 
   std::string Name() const override {
     return model_->config().VariantName();
@@ -89,28 +120,15 @@ class DekgIlpPredictor : public LinkPredictor {
                                    const std::vector<Triple>& triples) override;
   // Serves pre-extracted subgraphs from `cache` (Find only — no counter
   // mutation, so a shared cache stays safely read-only) and extracts the
-  // rest; scores are bit-identical either way. Cache hits are grouped by
-  // gsm_batch_options() and scored through Gsm::ScoreSubgraphsPacked —
-  // one block-diagonal GNN forward per group — which is also bitwise
-  // transparent (DESIGN.md §11), so the bitwise-determinism gates hold
-  // for every batch size and bucket policy.
+  // rest; scores are bit-identical either way.
   std::vector<double> ScoreTriplesCached(const KnowledgeGraph& inference_graph,
                                          const std::vector<Triple>& triples,
                                          const SubgraphCache* cache) override;
   bool SupportsConcurrentScoring() const override { return true; }
   int64_t ParameterCount() const override { return model_->ParameterCount(); }
 
-  // Packed-batch assembly policy for cache-hit GSM scoring; max_batch <= 1
-  // restores the sequential per-triple path.
-  void set_gsm_batch_options(const GsmBatchOptions& options) {
-    batch_options_ = options;
-  }
-  const GsmBatchOptions& gsm_batch_options() const { return batch_options_; }
-
  private:
   DekgIlpModel* model_;
-  uint64_t seed_;
-  GsmBatchOptions batch_options_;
 };
 
 }  // namespace dekg::core

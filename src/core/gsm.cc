@@ -8,21 +8,6 @@
 
 namespace dekg::core {
 
-namespace {
-
-// Smallest p with 2^p >= n (n >= 1): the kByPow2 bucket coordinate.
-int32_t CeilLog2(int64_t n) {
-  int32_t p = 0;
-  int64_t v = 1;
-  while (v < n) {
-    v <<= 1;
-    ++p;
-  }
-  return p;
-}
-
-}  // namespace
-
 std::vector<std::vector<int64_t>> GroupForPacking(
     const std::vector<const Subgraph*>& subgraphs,
     const std::vector<int64_t>& indices, const GsmBatchOptions& options) {
@@ -30,27 +15,13 @@ std::vector<std::vector<int64_t>> GroupForPacking(
   if (indices.empty()) return batches;
   const int64_t cap = std::max<int32_t>(options.max_batch, 1);
 
-  // bucket key -> position of that bucket's open (not yet full) batch.
+  // (node, edge) count -> position of that size's open (not yet full)
+  // batch.
   std::unordered_map<uint64_t, size_t> open;
   for (int64_t idx : indices) {
     const Subgraph& s = *subgraphs[static_cast<size_t>(idx)];
-    uint64_t key = 0;
-    switch (options.bucket) {
-      case GsmBatchOptions::Bucket::kNone:
-        key = 0;
-        break;
-      case GsmBatchOptions::Bucket::kBySize:
-        key = (static_cast<uint64_t>(s.nodes.size()) << 32) |
-              static_cast<uint64_t>(s.edges.size() & 0xffffffffu);
-        break;
-      case GsmBatchOptions::Bucket::kByPow2:
-        key = (static_cast<uint64_t>(
-                   CeilLog2(static_cast<int64_t>(s.nodes.size())))
-               << 32) |
-              static_cast<uint64_t>(
-                  CeilLog2(static_cast<int64_t>(s.edges.size()) + 1));
-        break;
-    }
+    const uint64_t key = (static_cast<uint64_t>(s.nodes.size()) << 32) |
+                         static_cast<uint64_t>(s.edges.size() & 0xffffffffu);
     auto it = open.find(key);
     if (it == open.end() ||
         static_cast<int64_t>(batches[it->second].size()) >= cap) {
@@ -166,31 +137,6 @@ std::vector<Subgraph> Gsm::ExtractBatch(const KnowledgeGraph& graph,
     ParallelFor(0, static_cast<int64_t>(triples.size()), /*grain=*/0, body);
   }
   return out;
-}
-
-std::vector<double> Gsm::ScoreTriplesBatch(const KnowledgeGraph& graph,
-                                           const std::vector<Triple>& triples,
-                                           uint64_t seed,
-                                           ThreadPool* pool) const {
-  std::vector<double> scores(triples.size(), 0.0);
-  const auto body = [&](int64_t begin, int64_t end) {
-    SubgraphWorkspace* workspace = GetThreadLocalSubgraphWorkspace();
-    for (int64_t i = begin; i < end; ++i) {
-      const Triple& t = triples[static_cast<size_t>(i)];
-      Rng rng(MixSeed(seed, static_cast<uint64_t>(i)));
-      Subgraph subgraph = Extract(graph, t, workspace);
-      ag::Var s = ScoreSubgraph(subgraph, t.rel, /*training=*/false, &rng);
-      scores[static_cast<size_t>(i)] =
-          static_cast<double>(s.value().Data()[0]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, static_cast<int64_t>(triples.size()), /*grain=*/0,
-                      body);
-  } else {
-    ParallelFor(0, static_cast<int64_t>(triples.size()), /*grain=*/0, body);
-  }
-  return scores;
 }
 
 }  // namespace dekg::core

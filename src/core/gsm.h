@@ -36,25 +36,18 @@ struct GsmConfig {
 
 // Assembly policy for packed (block-diagonal) GSM batches. Batching is a
 // pure dispatch optimization — per-triple scores are bit-identical for
-// every policy and cap — so the knobs trade packing opportunity against
-// batch-shape variance, never correctness.
+// every cap — so the cap trades fewer, wider GNN forwards against the
+// peak size of one packed batch (DESIGN.md §11), never correctness.
 struct GsmBatchOptions {
-  // Maximum subgraphs per packed forward; <= 1 disables packing (the
-  // sequential per-triple path).
-  int32_t max_batch = 64;
-  enum class Bucket {
-    kNone,     // pack in arrival order, size-oblivious
-    kBySize,   // group by exact (node count, edge count)
-    kByPow2,   // group by (ceil-log2 node count, ceil-log2 edge count)
-  };
-  Bucket bucket = Bucket::kBySize;
+  // Maximum subgraphs per packed forward (values below 1 act as 1).
+  int32_t max_batch = 8;
 };
 
-// Groups `indices` (positions into the parallel `subgraphs` array; null
-// entries are skipped by the caller, never passed here) into packed-batch
-// work lists: each inner vector holds at most options.max_batch indices
-// sharing a bucket. Deterministic — buckets are keyed in first-occurrence
-// order and filled in index order — though scores do not depend on the
+// Groups `indices` (positions into the parallel `subgraphs` array) into
+// packed-batch work lists: each inner vector holds at most
+// options.max_batch indices whose subgraphs share an exact (node count,
+// edge count). Deterministic — groups are keyed in first-occurrence order
+// and filled in index order — though scores do not depend on the
 // grouping at all (packing is bitwise transparent).
 std::vector<std::vector<int64_t>> GroupForPacking(
     const std::vector<const Subgraph*>& subgraphs,
@@ -131,17 +124,6 @@ class Gsm : public nn::Module {
   // Convenience: extract + score.
   ag::Var ScoreTriple(const KnowledgeGraph& graph, const Triple& triple,
                       bool training, Rng* rng) const;
-
-  // Batched inference: extracts and encodes the enclosing subgraph of
-  // every triple, splitting independent triples across `pool` (or the
-  // default pool when null, mirroring ExtractBatch; each worker owns a
-  // SubgraphWorkspace and a per-triple Rng stream seeded MixSeed(seed,
-  // i)). Returns phi_tpo values only — no autograd tape — and is
-  // bit-identical for every pool and thread count, including 1.
-  std::vector<double> ScoreTriplesBatch(const KnowledgeGraph& graph,
-                                        const std::vector<Triple>& triples,
-                                        uint64_t seed,
-                                        ThreadPool* pool = nullptr) const;
 
   // Final-layer head/tail representations (for the Fig. 8 case study).
   gnn::RgcnOutput Encode(const Subgraph& subgraph, RelationId rel,

@@ -509,8 +509,8 @@ const Subgraph* SubgraphCache::Find(const Triple& triple) const {
   return it == map_.end() ? nullptr : it->second.subgraph.get();
 }
 
-const Subgraph* SubgraphCache::Insert(const Triple& triple,
-                                      Subgraph subgraph) {
+const Subgraph* SubgraphCache::Insert(const Triple& triple, Subgraph subgraph,
+                                      std::vector<Triple>* evicted) {
   auto it = map_.find(triple);
   if (it != map_.end()) return it->second.subgraph.get();
   while (capacity_ > 0 &&
@@ -529,6 +529,7 @@ const Subgraph* SubgraphCache::Insert(const Triple& triple,
     map_.erase(vit);
     ++stats_.evictions;
     --stats_.entries;
+    if (evicted != nullptr) evicted->push_back(victim.triple);
   }
   Entry entry;
   entry.subgraph = std::make_unique<Subgraph>(std::move(subgraph));
@@ -536,8 +537,24 @@ const Subgraph* SubgraphCache::Insert(const Triple& triple,
   const Subgraph* stored = entry.subgraph.get();
   stats_.bytes += PayloadBytes(*stored);
   ++stats_.entries;
-  fifo_.push_back(QueueSlot{triple, entry.seq});
+  if (capacity_ > 0) fifo_.push_back(QueueSlot{triple, entry.seq});
   map_.emplace(triple, std::move(entry));
+  // Only eviction needs the queue, so an unlimited cache keeps none.
+  // Erase() leaves stale slots behind; dropping them once they outnumber
+  // the live ones keeps the queue within about twice the resident count,
+  // each compaction paid for by the Erase calls that made its stale
+  // slots, and keeps the live slots' order (so the eviction order).
+  constexpr size_t kSlack = 16;
+  if (fifo_.size() > 2 * map_.size() + kSlack) {
+    fifo_.erase(std::remove_if(fifo_.begin(), fifo_.end(),
+                               [&](const QueueSlot& slot) {
+                                 auto live = map_.find(slot.triple);
+                                 return live == map_.end() ||
+                                        live->second.seq != slot.seq;
+                               }),
+                fifo_.end());
+  }
+  stats_.fifo_slots = static_cast<int64_t>(fifo_.size());
   return stored;
 }
 
@@ -567,6 +584,7 @@ void SubgraphCache::Clear() {
   fifo_.clear();
   stats_.entries = 0;
   stats_.bytes = 0;
+  stats_.fifo_slots = 0;
 }
 
 void SubgraphCache::ResetCounters() {

@@ -312,6 +312,9 @@ Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
 // carry the insertion sequence number, so a key erased and later
 // re-inserted cannot retire early through its old queue occurrence — the
 // stale occurrence no longer matches the resident sequence and is skipped.
+// An unlimited cache keeps no queue; a bounded one drops its stale slots
+// once they outnumber the resident entries, so the queue stays within
+// about twice the resident count (amortized O(1) per operation).
 class SubgraphCache {
  public:
   struct Stats {
@@ -319,7 +322,8 @@ class SubgraphCache {
     int64_t misses = 0;
     int64_t evictions = 0;
     int64_t entries = 0;
-    int64_t bytes = 0;  // payload bytes of resident nodes + edges
+    int64_t bytes = 0;       // payload bytes of resident nodes + edges
+    int64_t fifo_slots = 0;  // FIFO queue length, stale slots included
   };
 
   // capacity = maximum resident subgraphs; 0 = unlimited.
@@ -333,9 +337,11 @@ class SubgraphCache {
   const Subgraph* Find(const Triple& triple) const;
 
   // Stores `subgraph` under `triple` (no-op when already resident),
-  // evicting the oldest insertion first when at capacity. Returns the
-  // resident subgraph.
-  const Subgraph* Insert(const Triple& triple, Subgraph subgraph);
+  // evicting the oldest insertion first when at capacity; each evicted key
+  // is appended to `evicted` when non-null (the serve layer drops its
+  // per-entry bookkeeping with it). Returns the resident subgraph.
+  const Subgraph* Insert(const Triple& triple, Subgraph subgraph,
+                         std::vector<Triple>* evicted = nullptr);
 
   // Replaces the payload of a resident entry in place: same key, same
   // FIFO age, same stable Subgraph address (the contents are move-assigned
@@ -348,8 +354,8 @@ class SubgraphCache {
   // Removes the entry for `triple`; returns true when it was resident.
   // The serve layer's delta ingester uses this to invalidate exactly the
   // entries a new edge can affect. Stale occurrences of erased keys in
-  // the FIFO queue are skipped lazily at eviction time (their sequence
-  // number no longer matches any resident entry).
+  // the FIFO queue are skipped at eviction time (their sequence number no
+  // longer matches any resident entry) or dropped by the next compaction.
   bool Erase(const Triple& triple);
 
   void Clear();

@@ -181,10 +181,10 @@ void MicroBatcher::RunScoreBatch(std::vector<Work>* works) {
     }
     slots.push_back(Slot{wi, items.size(), work.score.triples.size()});
     for (size_t i = 0; i < work.score.triples.size(); ++i) {
-      // Stream seed derived from the request's own seed and the triple's
-      // *logical* index (chunk offset + index within the frame):
-      // micro-batch packing and client-side pipelined splitting cannot
-      // change it.
+      // Item seed (the memo key) derived from the request's own seed and
+      // the triple's *logical* index (chunk offset + index within the
+      // frame): micro-batch packing and client-side pipelined splitting
+      // cannot change it.
       items.push_back(ScoreItem{
           work.score.triples[i],
           MixSeed(work.score.seed,

@@ -9,12 +9,13 @@
 // the only thread that ever touches the router — graph mutation, cache
 // bookkeeping, and scoring never overlap, by construction.
 //
-// Determinism: each triple's Rng stream seed is derived here as
-// MixSeed(request.seed, request.index_offset + index_within_request),
-// so scores are independent of how requests get packed into
-// micro-batches — and a logical request a pipelined client split into
-// chunks (each carrying its logical offset) scores with exactly the
-// unsplit request's streams. In deterministic mode
+// Determinism: a score depends only on (triple, snapshot graph), so
+// scores are independent of how requests get packed into micro-batches.
+// Each triple's item seed, which keys the engines' score memo, is derived
+// here as MixSeed(request.seed, request.index_offset +
+// index_within_request), so a logical request a pipelined client split
+// into chunks (each carrying its logical offset) keys the memo exactly as
+// the unsplit request does. In deterministic mode
 // the packing itself is also a pure function of the admission order
 // (no timers), so the batch-size histogram and cache hit pattern are
 // reproducible given a reproducible request order; throughput mode may

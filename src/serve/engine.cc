@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "quant/qkernels.h"
 
 namespace dekg::serve {
 
@@ -25,18 +24,6 @@ std::unique_ptr<quant::RgcnQuantWeights> BuildQuantWeights(
 }  // namespace
 
 InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
-                                 const KnowledgeGraph& base,
-                                 const EngineConfig& config)
-    : model_(model),
-      config_(config),
-      owned_writer_(std::make_unique<SnapshotWriter>(
-          model, base, config.live_graph, config.precision)),
-      writer_(owned_writer_.get()),
-      qweights_(BuildQuantWeights(model, config.precision)),
-      caught_up_epoch_(owned_writer_->epoch()),
-      caught_up_edges_(owned_writer_->live().num_triples()) {}
-
-InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
                                  SnapshotWriter* writer,
                                  const EngineConfig& config)
     : model_(model),
@@ -44,8 +31,9 @@ InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
       writer_(writer),
       qweights_(BuildQuantWeights(model, config.precision)),
       caught_up_epoch_(writer->epoch()),
-      caught_up_edges_(writer->live().num_triples()) {
-  // A follower reads the shared writer's rows; a precision mismatch
+      caught_up_edges_(writer->live().num_triples()),
+      cache_(config.cache_capacity) {
+  // The engine reads the shared writer's rows; a precision mismatch
   // would score fp32 rows through quantized kernels (or vice versa).
   DEKG_CHECK(writer->precision() == config_.precision)
       << "engine precision must match the shared SnapshotWriter's";
@@ -64,7 +52,7 @@ std::vector<double> InferenceEngine::ScoreBatch(
 
   // Memo front-end: replay finished scores for (triple, seed) pairs this
   // epoch has already computed; run the pipeline only for the rest. A
-  // score is a pure function of (triple, seed, snapshot graph), and the
+  // score is a pure function of (triple, snapshot graph), and the
   // pipeline's result is invariant to batch composition, so scoring the
   // miss subset produces the exact bits the full batch would have.
   const size_t n = items.size();
@@ -99,21 +87,27 @@ std::vector<double> InferenceEngine::ScoreBatch(
 std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     const GraphSnapshot& snap, const std::vector<ScoreItem>& items) {
   const KnowledgeGraph& g = snap.graph;
-  const RowTable<Tensor>::Version& rows = snap.entity_emb;
-  core::Clrm* clrm = model_->clrm();
-  core::Gsm* gsm = model_->gsm();
+  const core::Gsm* gsm = model_->gsm();
   const size_t n = items.size();
-  std::vector<double> scores(n, 0.0);
+  std::vector<Triple> triples(n);
+  for (size_t i = 0; i < n; ++i) triples[i] = items[i].triple;
 
-  // Phase 1 (serial): cache lookups, with hit/miss counting.
-  std::vector<const Subgraph*> subs(n, nullptr);
-  std::vector<int64_t> miss;
+  // Phase 1 (serial): cache lookups, with hit/miss counting. A triple
+  // repeated within the batch is extracted (and admitted) once.
+  std::vector<const Subgraph*> subs;
+  std::vector<Triple> miss;  // distinct missed triples, first-seen order
   std::vector<Subgraph> miss_subs;
   std::vector<TouchedLabels> miss_labels;
   if (gsm != nullptr) {
+    subs.assign(n, nullptr);
+    std::vector<size_t> miss_slot(n, 0);
+    std::unordered_map<Triple, size_t, TripleHash> slot_of;
     for (size_t i = 0; i < n; ++i) {
-      subs[i] = cache_.Lookup(items[i].triple);
-      if (subs[i] == nullptr) miss.push_back(static_cast<int64_t>(i));
+      subs[i] = cache_.Lookup(triples[i]);
+      if (subs[i] != nullptr) continue;
+      const auto [it, fresh] = slot_of.emplace(triples[i], miss.size());
+      if (fresh) miss.push_back(triples[i]);
+      miss_slot[i] = it->second;
     }
     // Phase 2 (parallel): extract the misses into batch-local storage.
     // Extraction is RNG-free and reads only the const snapshot graph;
@@ -127,158 +121,46 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
                   SubgraphWorkspace* workspace =
                       GetThreadLocalSubgraphWorkspace();
                   for (int64_t m = begin; m < end; ++m) {
-                    const Triple& t =
-                        items[static_cast<size_t>(miss[static_cast<size_t>(m)])]
-                            .triple;
                     miss_subs[static_cast<size_t>(m)] =
-                        gsm->Extract(g, t, workspace);
+                        gsm->Extract(g, miss[static_cast<size_t>(m)], workspace);
                     miss_labels[static_cast<size_t>(m)] =
                         TouchedEntityLabels(*workspace);
                   }
                 });
-    for (size_t m = 0; m < miss.size(); ++m) {
-      subs[static_cast<size_t>(miss[m])] = &miss_subs[m];
+    for (size_t i = 0; i < n; ++i) {
+      if (subs[i] == nullptr) subs[i] = &miss_subs[miss_slot[i]];
     }
   }
 
-  // Phase 3 (parallel): model scoring. Same term order as
-  // DekgIlpModel::ScoreLink: sem, then Add(sem, tpo) — the packed branch
-  // adds in float before widening to double for the identical bits.
-  // Quantized GSM scoring always packs: the per-item ScoreSubgraph path
-  // builds an autograd tape over the fp32 parameters and stays
-  // fp32-only.
-  const bool quantized = config_.precision != quant::Precision::kFp32;
-  const RowTable<quant::QuantRow>::Version& qrows = snap.entity_emb_q;
-  // Row base of r^sem for the quantized DistMult decoder.
-  const float* rel_sem_data = nullptr;
-  int64_t rel_sem_dim = 0;
-  if (quantized && clrm != nullptr) {
-    const Tensor& rel_sem = clrm->relation_sem().value();
-    rel_sem_data = rel_sem.Data();
-    rel_sem_dim = rel_sem.dim(1);
-  }
-  const bool pack =
-      gsm != nullptr && (config_.gsm_batch.max_batch > 1 || quantized);
-  if (pack) {
-    // Every item's subgraph is in hand (cache hit or fresh extraction),
-    // so the whole micro-batch packs into block-diagonal GNN forwards.
-    std::vector<int64_t> all(n);
-    for (size_t i = 0; i < n; ++i) all[i] = static_cast<int64_t>(i);
-    const std::vector<std::vector<int64_t>> groups =
-        core::GroupForPacking(subs, all, config_.gsm_batch);
-    ParallelFor(
-        0, static_cast<int64_t>(groups.size()), /*grain=*/0,
-        [&](int64_t begin, int64_t end) {
-          std::vector<const Subgraph*> group_subs;
-          std::vector<RelationId> group_rels;
-          for (int64_t b = begin; b < end; ++b) {
-            const std::vector<int64_t>& idxs =
-                groups[static_cast<size_t>(b)];
-            group_subs.clear();
-            group_rels.clear();
-            for (int64_t i : idxs) {
-              group_subs.push_back(subs[static_cast<size_t>(i)]);
-              group_rels.push_back(
-                  items[static_cast<size_t>(i)].triple.rel);
-            }
-            const std::vector<float> tpo = gsm->ScoreSubgraphsPacked(
-                group_subs, group_rels, qweights_.get());
-            for (size_t k = 0; k < idxs.size(); ++k) {
-              const int64_t i = idxs[k];
-              const ScoreItem& item = items[static_cast<size_t>(i)];
-              float value = tpo[k];
-              if (clrm != nullptr) {
-                const float sem =
-                    quantized
-                        ? quant::QuantDistMult(
-                              *qrows[static_cast<size_t>(item.triple.head)],
-                              rel_sem_data + item.triple.rel * rel_sem_dim,
-                              *qrows[static_cast<size_t>(item.triple.tail)])
-                        : clrm->ScoreEmbedded(
-                                  *rows[static_cast<size_t>(
-                                      item.triple.head)],
-                                  item.triple.rel,
-                                  *rows[static_cast<size_t>(
-                                      item.triple.tail)])
-                              .value()
-                              .Data()[0];
-                value = sem + value;
-              }
-              scores[static_cast<size_t>(i)] = static_cast<double>(value);
-            }
-          }
-        });
-  } else if (quantized) {
-    // CLRM-only quantized scoring (gsm != nullptr forces `pack` above).
-    ParallelFor(0, static_cast<int64_t>(n), /*grain=*/0,
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    const ScoreItem& item = items[static_cast<size_t>(i)];
-                    scores[static_cast<size_t>(i)] =
-                        static_cast<double>(quant::QuantDistMult(
-                            *qrows[static_cast<size_t>(item.triple.head)],
-                            rel_sem_data + item.triple.rel * rel_sem_dim,
-                            *qrows[static_cast<size_t>(item.triple.tail)]));
-                  }
-                });
+  // Phase 3 (parallel): the one inference path, over the snapshot's rows.
+  core::ClrmRows rows;
+  if (snap.precision == quant::Precision::kFp32) {
+    rows.fp32 = [&](EntityId e) -> const Tensor& {
+      return *snap.entity_emb[static_cast<size_t>(e)];
+    };
   } else {
-    ParallelFor(0, static_cast<int64_t>(n), /*grain=*/0,
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    const ScoreItem& item = items[static_cast<size_t>(i)];
-                    Rng rng(item.seed);
-                    ag::Var score;
-                    if (clrm != nullptr) {
-                      score = clrm->ScoreEmbedded(
-                          *rows[static_cast<size_t>(item.triple.head)],
-                          item.triple.rel,
-                          *rows[static_cast<size_t>(item.triple.tail)]);
-                    }
-                    if (gsm != nullptr) {
-                      ag::Var tpo = gsm->ScoreSubgraph(
-                          *subs[static_cast<size_t>(i)], item.triple.rel,
-                          /*training=*/false, &rng);
-                      score = score.defined() ? ag::Add(score, tpo) : tpo;
-                    }
-                    scores[static_cast<size_t>(i)] =
-                        static_cast<double>(score.value().Data()[0]);
-                  }
-                });
+    rows.quantized = [&](EntityId e) -> const quant::QuantRow& {
+      return *snap.entity_emb_q[static_cast<size_t>(e)];
+    };
   }
+  std::vector<double> scores =
+      core::ScoreInference(model_->clrm(), gsm, triples, subs, rows,
+                           qweights_.get(), config_.gsm_batch);
 
-  // Phase 4 (serial, index order): admit the misses. Insertion after
+  // Phase 4 (serial, first-miss order): admit the misses. Insertion after
   // scoring means a capacity-bounded cache can never evict a subgraph
   // this same batch still needs. Admitted entries were extracted from
   // `snap`, which CatchUpCache made the cache consistent with above.
+  std::vector<Triple> evicted;
   for (size_t m = 0; m < miss.size(); ++m) {
-    const Triple& t = items[static_cast<size_t>(miss[m])].triple;
-    if (key_meta_.count(t) > 0) continue;  // duplicate within the batch
-    cache_.Insert(t, std::move(miss_subs[m]));
-    CachedMeta meta;
-    meta.labels = std::move(miss_labels[m]);
-    meta.seq = insert_seq_++;
-    for (EntityId e : meta.labels.entities) entity_index_[e].insert(t);
-    fifo_.push_back(FifoSlot{t, meta.seq});
-    key_meta_.emplace(t, std::move(meta));
+    const Triple& t = miss[m];
+    cache_.Insert(t, std::move(miss_subs[m]), &evicted);
+    for (const Triple& key : evicted) DropLabels(key);
+    evicted.clear();
+    for (EntityId e : miss_labels[m].entities) entity_index_[e].insert(t);
+    labels_.emplace(t, std::move(miss_labels[m]));
   }
-  EnforceCapacity();
   return scores;
-}
-
-void InferenceEngine::Ingest(const std::vector<Triple>& triples,
-                             IngestResponse* response) {
-  DEKG_CHECK(owned_writer_ != nullptr)
-      << "follower engines never ingest; route through the writer";
-  IngestReport report;
-  std::string error;
-  const Status status = writer_->Ingest(triples, &report, &error);
-  response->status = status;
-  response->error = error;
-  if (status != Status::kOk) return;
-  response->accepted = report.accepted;
-  response->duplicates = report.duplicates;
-  response->new_entities = report.new_entities;
-  CatchUpCache(*writer_->Current(), response);
 }
 
 void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
@@ -321,7 +203,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
     }
   }
 
-  core::Gsm* gsm = model_->gsm();
+  const core::Gsm* gsm = model_->gsm();
   if (!config_.patch_cache || gsm == nullptr) {
     // Invalidate-on-ingest: drop every affected entry; the next lookup
     // pays a full re-extraction.
@@ -340,17 +222,16 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   const SubgraphConfig sc = gsm->subgraph_config();
   uint64_t removed = 0;
   for (const Triple& key : affected) {
-    CachedMeta& meta = key_meta_.find(key)->second;
+    TouchedLabels& labels = labels_.find(key)->second;
     bool head_changed = false;
     bool tail_changed = false;
     const bool patchable =
         RelaxDistancesAfterEdgeInsert(g, key.head, key.tail, sc.num_hops,
-                                      combined, meta.labels.entities,
-                                      &meta.labels.dist_head,
-                                      &head_changed) &&
+                                      combined, labels.entities,
+                                      &labels.dist_head, &head_changed) &&
         RelaxDistancesAfterEdgeInsert(g, key.tail, key.head, sc.num_hops,
-                                      combined, meta.labels.entities,
-                                      &meta.labels.dist_tail, &tail_changed);
+                                      combined, labels.entities,
+                                      &labels.dist_tail, &tail_changed);
     if (!patchable) {
       RemoveCached(key);
       ++fallback_;
@@ -364,7 +245,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
     // on the snapshot graph.
     cache_.Replace(key,
                    BuildSubgraphFromLabels(g, key.head, key.tail, key.rel, sc,
-                                           meta.labels, &patch_workspace_));
+                                           labels, &patch_workspace_));
     if (head_changed || tail_changed) {
       ++repaired_;
       if (response != nullptr) ++response->repaired;
@@ -377,34 +258,20 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 }
 
 void InferenceEngine::RemoveCached(const Triple& key) {
-  auto it = key_meta_.find(key);
-  if (it == key_meta_.end()) return;
   cache_.Erase(key);
-  for (EntityId e : it->second.labels.entities) {
+  DropLabels(key);
+}
+
+void InferenceEngine::DropLabels(const Triple& key) {
+  auto it = labels_.find(key);
+  if (it == labels_.end()) return;
+  for (EntityId e : it->second.entities) {
     auto idx = entity_index_.find(e);
     if (idx == entity_index_.end()) continue;
     idx->second.erase(key);
     if (idx->second.empty()) entity_index_.erase(idx);
   }
-  key_meta_.erase(it);
-}
-
-void InferenceEngine::EnforceCapacity() {
-  if (config_.cache_capacity <= 0) return;
-  while (static_cast<int64_t>(key_meta_.size()) > config_.cache_capacity) {
-    DEKG_CHECK(!fifo_.empty());
-    const FifoSlot victim = fifo_.front();
-    fifo_.pop_front();
-    // Stale queue slots are skipped: a slot whose sequence number no
-    // longer matches the resident entry belongs to an invalidated (and
-    // possibly re-inserted) key, so acting on it would retire the new
-    // incarnation early. Matching on (key, seq) makes eviction order a
-    // pure function of the insertion history.
-    auto it = key_meta_.find(victim.triple);
-    if (it == key_meta_.end() || it->second.seq != victim.seq) continue;
-    RemoveCached(victim.triple);
-    ++evictions_;
-  }
+  labels_.erase(it);
 }
 
 EngineStats InferenceEngine::Stats() const {
@@ -414,7 +281,7 @@ EngineStats InferenceEngine::Stats() const {
   stats.cache_misses = static_cast<uint64_t>(cs.misses);
   stats.cache_entries = static_cast<uint64_t>(cs.entries);
   stats.cache_bytes = static_cast<uint64_t>(cs.bytes);
-  stats.cache_evictions = evictions_;
+  stats.cache_evictions = static_cast<uint64_t>(cs.evictions);
   stats.cache_invalidated = invalidated_;
   stats.cache_patched = patched_;
   stats.cache_repaired = repaired_;

@@ -1,30 +1,23 @@
-// Inference engine of the online scoring server (DESIGN.md §9, §14).
+// Inference engine of the online scoring server (DESIGN.md §9, §14): one
+// shard of a serve::Router.
 //
-// Owns the frozen DEKG-ILP model pointer and a shard's subgraph cache
-// with its invalidation index; reads graph + CLRM rows from an
-// epoch-tagged immutable snapshot (serve/snapshot.h). Two modes share
-// all scoring code:
-//
-//  * Standalone (PR 4–7 shape): the engine owns its SnapshotWriter.
-//    Ingest applies the batch and catches the cache up synchronously,
-//    so the public behavior — response counters included — is exactly
-//    the pre-sharding engine's.
-//  * Follower (one shard of a serve::Router): the engine borrows a
-//    shared SnapshotWriter. It never ingests; at the start of every
-//    ScoreBatch it loads the current snapshot and, if epochs advanced
-//    since it last looked, takes the edges appended since the edge count
-//    it caught up to as one combined batch and runs the PR-7 cache
-//    maintenance against it. That is sound because ingest only appends
-//    edges: the snapshot graph equals the cached graph plus the combined
-//    batch, which is precisely the situation the patch/repair/fallback
-//    predicate handles (DESIGN.md §13).
+// Owns a shard's subgraph cache with its invalidation index and borrows
+// the frozen DEKG-ILP model and the router's shared SnapshotWriter, which
+// it never ingests into. It reads graph + CLRM rows from epoch-tagged
+// immutable snapshots (serve/snapshot.h): at the start of every
+// ScoreBatch it loads the current snapshot and, if epochs advanced since
+// it last looked, takes the edges appended since the edge count it caught
+// up to as one combined batch and runs the cache maintenance against it.
+// That is sound because ingest only appends edges: the snapshot graph
+// equals the cached graph plus the combined batch, which is precisely the
+// situation the patch/repair/fallback predicate handles (DESIGN.md §13).
 //
 // Three operations, all invoked from one thread at a time (the
 // scheduler thread, or one router fan-out worker per shard):
 //
 //  * ScoreBatch — scores a micro-batch of triples against the current
 //    snapshot. Cache lookups and insertions are serial (index order);
-//    extraction of misses and model scoring fan out over the PR-1
+//    extraction of misses and core::ScoreInference fan out over the
 //    thread pool with read-only shared state, so results are
 //    bit-identical at any thread count.
 //  * CatchUpCache — the ingest-side cache maintenance, factored out so
@@ -32,21 +25,18 @@
 //    server mode) or let each shard self-serve lazily.
 //  * Stats — counter snapshot.
 //
-// Determinism contract: a triple scored with stream seed s produces the
-// same bits as DekgIlpPredictor scoring it at an index i with
-// MixSeed(123, i) == s against the statically built equivalent graph —
-// regardless of micro-batch composition, cache state, shard assignment,
-// or thread count. The CLRM fast path (ScoreEmbedded over materialized
-// fusion rows) applies the identical op sequence to identical inputs;
-// cached, patched, and fresh extractions are identical by determinism
-// of extraction.
+// Determinism contract: a score depends only on (triple, snapshot graph)
+// — never on micro-batch composition, cache state, shard assignment, or
+// thread count. ScoreItem::seed only keys the score memo. At fp32 a score
+// equals DekgIlpPredictor::ScoreTriples on the statically built
+// equivalent graph bit for bit: both run core::ScoreInference, the
+// snapshot rows are the predictor's fused rows, and cached, patched, and
+// fresh extractions are identical by determinism of extraction.
 #ifndef DEKG_SERVE_ENGINE_H_
 #define DEKG_SERVE_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -59,16 +49,13 @@
 namespace dekg::serve {
 
 struct EngineConfig {
-  // Maximum resident cached subgraphs (0 = unlimited). Enforced FIFO by
-  // the engine itself so every removal also cleans the invalidation
-  // index.
+  // Maximum resident cached subgraphs per shard (0 = unlimited), evicted
+  // FIFO by the SubgraphCache, which reports each evicted key so the
+  // engine cleans the invalidation index.
   int64_t cache_capacity = 4096;
   LiveGraphConfig live_graph;
-  // Packed-batch assembly for GSM scoring (ScoreBatch Phase 3): every
-  // item's subgraph is in hand by then, so groups run through
-  // Gsm::ScoreSubgraphsPacked — one block-diagonal GNN forward per
-  // group. Bitwise transparent (DESIGN.md §11); max_batch <= 1 restores
-  // the per-item path.
+  // Packed-batch grouping handed to core::ScoreInference. Bitwise
+  // transparent (DESIGN.md §11); servers keep the default.
   core::GsmBatchOptions gsm_batch;
   // In-place maintenance of affected cached subgraphs on ingest (patch /
   // repair, with fallback invalidation only on membership change). False
@@ -80,8 +67,8 @@ struct EngineConfig {
   // Score memo: finished scores keyed by (triple, item seed), valid for
   // one snapshot epoch (flushed whenever the cache catches up to a newer
   // epoch, since scores depend on the graph). A score is a pure function
-  // of (triple, seed, snapshot graph) — the engine determinism contract
-  // — so replaying the stored double is bit-identical to recomputing it,
+  // of (triple, snapshot graph) — the engine determinism contract — so
+  // replaying the stored double is bit-identical to recomputing it,
   // and repeated hot queries skip the GNN forward entirely. Capacity is
   // a hard bound on resident entries; when full, new scores are simply
   // not memoized (no eviction, so hit/miss behavior is a pure function
@@ -96,14 +83,12 @@ struct EngineConfig {
   // score through quant/qkernels.h. Quantized scores are epsilon-gated
   // against fp32 (tests/quant_gate_test.cc) but remain bit-deterministic
   // across thread counts, batch compositions, and shard assignments.
-  // Quantized GSM scoring always uses the tape-free packed path — the
-  // per-item Var path stays fp32-only.
   quant::Precision precision = quant::Precision::kFp32;
 };
 
-// One unit of scoring work: the triple plus its fully derived Rng stream
-// seed (MixSeed(request_seed, index_within_request) — derived by the
-// batcher, so scores cannot depend on micro-batch composition).
+// One unit of scoring work: the triple plus its derived item seed
+// (MixSeed(request_seed, index_within_request), derived by the batcher).
+// The score does not depend on the seed; it only keys the score memo.
 struct ScoreItem {
   Triple triple;
   uint64_t seed = 0;
@@ -138,40 +123,18 @@ struct EngineStats {
 
 class InferenceEngine {
  public:
-  // Standalone mode. `model` must outlive the engine and is treated as
-  // frozen (read-only). `base` is the built graph the server starts from
-  // (offline: the train split). Materializes the CLRM embedding table at
-  // construction, parallelized over entities.
-  InferenceEngine(core::DekgIlpModel* model, const KnowledgeGraph& base,
-                  const EngineConfig& config);
-
-  // Follower mode: one shard of a router. `writer` is shared with the
-  // other shards and must outlive the engine; this engine never calls
-  // its Ingest. Starts caught up to the writer's current epoch (the
-  // cache is empty, so there is nothing to maintain).
+  // `model` and `writer` must outlive the engine; the model is treated as
+  // frozen, and `writer` is shared with the router's other shards (this
+  // engine never calls its Ingest). Starts caught up to the writer's
+  // current epoch (the cache is empty, so there is nothing to maintain).
   InferenceEngine(core::DekgIlpModel* model, SnapshotWriter* writer,
                   const EngineConfig& config);
-
-  // Writer-side graph view (serialize externally against ingest).
-  const KnowledgeGraph& graph() const { return writer_->live(); }
-
-  // Scoring-side validation (relation vocabulary, entity space).
-  Status ValidateScore(const std::vector<Triple>& triples,
-                       std::string* error) const {
-    return ValidateTriplesForScoring(writer_->live(), triples, error);
-  }
 
   // Scores every item against the current snapshot, catching the cache
   // up first if ingest epochs landed since the last batch. Items must
   // have passed validation against that snapshot (or an earlier one —
   // the graph only grows).
   std::vector<double> ScoreBatch(const std::vector<ScoreItem>& items);
-
-  // Applies an emerging-triple batch (standalone mode only). Fills every
-  // response field (including error/status); the graph is unchanged on
-  // rejection. Cache maintenance runs synchronously, exactly as before
-  // sharding.
-  void Ingest(const std::vector<Triple>& triples, IngestResponse* response);
 
   // Brings the cache up to `snap`'s epoch: takes the snapshot's edges
   // appended since the last catch-up, in id order (= ingest order,
@@ -186,26 +149,8 @@ class InferenceEngine {
 
   EngineStats Stats() const;
 
-  // Test hook: the materialized CLRM fusion row for an entity
-  // (writer-side; serialize externally against ingest).
-  const Tensor& EntityEmbedding(EntityId e) const { return writer_->Row(e); }
-
  private:
-  // Everything the engine keeps per resident cached subgraph besides the
-  // payload itself: the sparse blocked-BFS labels over the touched set
-  // (what ingest-patching re-relaxes) and the insertion sequence number
-  // that pairs the entry with its live FIFO queue slot.
-  struct CachedMeta {
-    TouchedLabels labels;
-    uint64_t seq = 0;
-  };
-  struct FifoSlot {
-    Triple triple;
-    uint64_t seq = 0;
-  };
-
-  // (triple, derived item seed): exactly the inputs a score depends on
-  // besides the snapshot graph, which the memo epoch-flush accounts for.
+  // (triple, derived item seed): the memo key.
   struct MemoKey {
     Triple triple;
     uint64_t seed = 0;
@@ -220,21 +165,21 @@ class InferenceEngine {
     }
   };
 
-  // The full scoring pipeline (cache lookup / extract / GNN / admit)
-  // against one pinned snapshot — everything ScoreBatch did before the
-  // memo front-end.
+  // The full scoring pipeline (cache lookup / extract / ScoreInference /
+  // admit) against one pinned snapshot — everything ScoreBatch does
+  // behind the memo front-end.
   std::vector<double> ScoreBatchAgainstSnapshot(
       const GraphSnapshot& snap, const std::vector<ScoreItem>& items);
 
   // Removes one cached key and its invalidation-index entries.
   void RemoveCached(const Triple& key);
-  // FIFO-evicts until the resident count fits the capacity.
-  void EnforceCapacity();
+  // Drops a key's labels and invalidation-index entries (the cache entry
+  // itself is already gone or about to go).
+  void DropLabels(const Triple& key);
 
   core::DekgIlpModel* model_;
   EngineConfig config_;
-  std::unique_ptr<SnapshotWriter> owned_writer_;  // standalone mode only
-  SnapshotWriter* writer_;                        // always valid
+  SnapshotWriter* writer_;
 
   // Quantized R-GCN dense transforms, built once at construction when
   // config_.precision != fp32 and the model has a GSM (null otherwise).
@@ -248,17 +193,11 @@ class InferenceEngine {
   uint64_t caught_up_epoch_ = 0;
   int64_t caught_up_edges_ = 0;
 
-  // Subgraph cache (unlimited; capacity enforced here) plus the
-  // maintenance bookkeeping. key_meta_ holds each resident key's sparse
-  // labels + sequence number; entity_index_ inverts the touched sets.
-  // fifo_ may hold stale slots (keys invalidated — possibly re-inserted
-  // under a newer sequence — before eviction); EnforceCapacity skips any
-  // slot whose sequence no longer matches the resident entry, so a
-  // re-inserted key ages from its re-insertion and effective capacity is
-  // never undercounted.
-  SubgraphCache cache_{0};
-  std::deque<FifoSlot> fifo_;
-  std::unordered_map<Triple, CachedMeta, TripleHash> key_meta_;
+  // Subgraph cache (FIFO at config_.cache_capacity) plus the maintenance
+  // bookkeeping: labels_ holds each resident key's sparse labels (what
+  // ingest-patching re-relaxes), entity_index_ inverts the touched sets.
+  SubgraphCache cache_;
+  std::unordered_map<Triple, TouchedLabels, TripleHash> labels_;
   std::unordered_map<EntityId, TripleSet> entity_index_;
 
   // Reusable stamped workspace for the single-writer ingest-patch path's
@@ -272,8 +211,6 @@ class InferenceEngine {
   uint64_t memo_hits_ = 0;
   uint64_t memo_misses_ = 0;
 
-  uint64_t insert_seq_ = 0;
-  uint64_t evictions_ = 0;
   uint64_t invalidated_ = 0;
   uint64_t patched_ = 0;
   uint64_t repaired_ = 0;

@@ -64,15 +64,15 @@ const char* StatusName(Status status);
 
 // ----- Typed messages -----
 
-// Scores `triples` against the live graph. Triple i draws from the Rng
-// stream MixSeed(seed, index_offset + i) — the same per-index stream
-// derivation the offline evaluator's predictor uses, which is what
-// makes server scores independent of micro-batch composition and
-// bit-identical to offline Evaluate. `index_offset` (v3) lets a
-// pipelined client split one logical request into several frames
-// without perturbing any triple's stream: the chunk starting at logical
-// position o sends index_offset = o, and the concatenated responses are
-// bitwise the unsplit request's. When `with_rank` is set the first
+// Scores `triples` against the live graph. A score depends only on
+// (triple, graph), so server scores are independent of micro-batch
+// composition and bit-identical to offline Evaluate. Triple i's item
+// seed MixSeed(seed, index_offset + i) only keys the server's score
+// memo. `index_offset` (v3) lets a pipelined client split one logical
+// request into several frames without changing any triple's item seed:
+// the chunk starting at logical position o sends index_offset = o, and
+// the concatenated responses are bitwise the unsplit request's. When
+// `with_rank` is set the first
 // triple is treated as the positive and the response carries its
 // filtered rank among the rest (eval/evaluator.h RankOf semantics).
 //
@@ -82,7 +82,7 @@ const char* StatusName(Status status);
 // verification and tracing, not reordering.
 struct ScoreRequest {
   uint64_t request_id = 0;
-  uint64_t seed = 123;  // DekgIlpPredictor's default stream seed
+  uint64_t seed = 123;  // memo key component only; never changes a score
   uint64_t index_offset = 0;
   bool with_rank = false;
   std::vector<Triple> triples;

@@ -14,9 +14,9 @@
 // sub-batches out over the thread pool (each shard's engine is touched
 // by exactly one worker), and merges with index-ordered fan-in:
 // out[position of item in the request] = shard score. Determinism proof
-// sketch: each item's score is a pure function of (triple, seed,
-// snapshot graph) — independent of micro-batch composition, cache
-// state, and thread count by the engine contract — and the fan-in
+// sketch: each item's score is a pure function of (triple, snapshot
+// graph) — independent of micro-batch composition, cache state, and
+// thread count by the engine contract — and the fan-in
 // writes it back to the item's original index, so the response vector
 // is bit-identical to the 1-shard (and offline) path for every shard
 // count.
@@ -31,10 +31,10 @@
 // never waits for ingest work and never sees a half-applied batch).
 //
 // Threading: ScoreBatch, Ingest, and Stats are scheduler-thread calls
-// (one at a time), like the engine they replace. The exception is the
-// deferred mode above: one thread may call Ingest while another calls
-// ScoreBatch — writer state and reader state are disjoint, and the
-// snapshot hand-off is the single atomic shared_ptr store.
+// (one at a time). The exception is the deferred mode above: one thread
+// may call Ingest while another calls ScoreBatch — writer state and
+// reader state are disjoint, and the snapshot hand-off is a pointer swap
+// under a mutex that guards nothing else (SnapshotWriter::Current).
 #ifndef DEKG_SERVE_ROUTER_H_
 #define DEKG_SERVE_ROUTER_H_
 
@@ -51,15 +51,14 @@
 namespace dekg::serve {
 
 struct RouterConfig {
-  // Number of shard engines. 1 reproduces the single-engine server
-  // exactly (one engine, no partition step).
+  // Number of shard engines. 1 runs one engine with no partition step.
   int32_t num_shards = 1;
   // Per-shard engine configuration. cache_capacity applies per shard.
   EngineConfig engine;
   // true: Ingest catches every shard's cache up before returning, so
   // ingest responses carry exact patched/repaired/invalidated counts and
-  // the scheduler-serialized server behaves exactly like the pre-shard
-  // engine. false: Ingest returns at snapshot publication; shards catch
+  // the scheduler-serialized server answers exactly as one engine
+  // would. false: Ingest returns at snapshot publication; shards catch
   // up lazily at their next ScoreBatch (readers never wait for ingest).
   bool synchronous_maintenance = true;
 };
@@ -99,7 +98,7 @@ class Router {
   EngineStats ShardStats(int32_t shard) const;
 
   // Writer-side views (serialize externally against Ingest) — test and
-  // golden-print hooks, matching the standalone engine's.
+  // golden-print hooks.
   const KnowledgeGraph& graph() const { return writer_.live(); }
   const Tensor& EntityEmbedding(EntityId e) const { return writer_.Row(e); }
 

@@ -37,7 +37,7 @@
 // scheduler thread, or the router's caller). Current() is safe from any
 // thread, any time. live() / Row() read the writer-side mutable state
 // and are only meaningful where ingest is externally serialized against
-// the caller (standalone engines, tests).
+// the caller (the router's writer-side hooks, tests).
 #ifndef DEKG_SERVE_SNAPSHOT_H_
 #define DEKG_SERVE_SNAPSHOT_H_
 

@@ -30,7 +30,7 @@
 // widened to double before accumulation, matching the historical
 // double-accumulation kernels (Dot, RowNorms, SumRows) lane for lane.
 //
-// Order-preserving helpers (LaneAxpyF32 and friends) have no cross-lane
+// Order-preserving helpers (LaneAddF32, LaneScaleF32) have no cross-lane
 // reduction at all: each output element sees the exact same float
 // expression as the scalar loop they replace, so they are bit-identical
 // to their pre-SIMD versions and never show up in a golden diff.
@@ -95,15 +95,6 @@ inline double LaneSumSquaresF64(const float* a, int64_t n) {
 
 // ----- Order-preserving lane loops (bit-identical to their scalar
 // ancestors; vectorization-friendly shape only) -----
-
-// dst[i] += s * a[i]
-inline void LaneAxpyF32(float* dst, const float* a, float s, int64_t n) {
-  const int64_t blocked = n - n % kLanes;
-  for (int64_t i = 0; i < blocked; i += kLanes) {
-    for (int64_t l = 0; l < kLanes; ++l) dst[i + l] += s * a[i + l];
-  }
-  for (int64_t i = blocked; i < n; ++i) dst[i] += s * a[i];
-}
 
 // dst[i] += a[i]
 inline void LaneAddF32(float* dst, const float* a, int64_t n) {

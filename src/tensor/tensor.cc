@@ -359,8 +359,8 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 
 namespace {
 
-// Register-blocked row kernel shared by MatMul and MatMulSkipZeroLhs:
-// computes out[i, col_begin:col_end) for rows [row_begin, row_end).
+// Register-blocked row kernel of MatMul: computes
+// out[i, col_begin:col_end) for rows [row_begin, row_end).
 // Column tiles of tune::kMatMulColTile floats are accumulated in
 // registers across the whole k loop (i-k-j order per tile, so b rows are
 // still streamed), then stored once — the historical kernel re-loaded and
@@ -368,28 +368,9 @@ namespace {
 // order over k is exactly the historical loop's, so this tiling never
 // changes a result bit; only the n == 1 dot path below is on the
 // fixed-lane reduction contract.
-template <bool kSkipZeroLhs>
 void MatMulRowsCols(const float* pa, const float* pb, float* po, int64_t k,
                     int64_t n, int64_t row_begin, int64_t row_end,
                     int64_t col_begin, int64_t col_end) {
-  if constexpr (kSkipZeroLhs) {
-    // Mostly-zero lhs: the zero test dominates the arithmetic, so keep the
-    // historical row-wise walk — one test per k, nothing touched for a
-    // zero — and lane-vectorize only the surviving axpy over the column
-    // range. Bitwise identical to the tiled path below: every out[i][j]
-    // accumulates the same terms in the same k-ascending order.
-    const int64_t width = col_end - col_begin;
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = pa + i * k;
-      float* out_row = po + i * n + col_begin;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aik = a_row[kk];
-        if (aik == 0.0f) continue;
-        lanes::LaneAxpyF32(out_row, pb + kk * n + col_begin, aik, width);
-      }
-    }
-    return;
-  }
   constexpr int64_t kTile = tune::kMatMulColTile;
   for (int64_t i = row_begin; i < row_end; ++i) {
     const float* a_row = pa + i * k;
@@ -417,8 +398,9 @@ void MatMulRowsCols(const float* pa, const float* pb, float* po, int64_t k,
   }
 }
 
-template <bool kSkipZeroLhs>
-Tensor MatMulImpl(const Tensor& a, const Tensor& b) {
+}  // namespace
+
+Tensor MatMul(const Tensor& a, const Tensor& b) {
   DEKG_CHECK_EQ(a.rank(), 2u);
   DEKG_CHECK_EQ(b.rank(), 2u);
   const int64_t m = a.dim(0);
@@ -433,9 +415,7 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b) {
   if (n == 1) {
     // Dot-product column ([m, k] x [k, 1]): the contiguous b column makes
     // each output element one LaneDotF32 under the fixed-lane reduction
-    // contract. The zero-skip variant routes here too — with one
-    // multiply-add per k the skip test costs more than it saves, and the
-    // dense dot keeps the kernel pair bit-identical by construction.
+    // contract.
     auto dot_rows = [&](int64_t row_begin, int64_t row_end) {
       for (int64_t i = row_begin; i < row_end; ++i) {
         po[i] = lanes::LaneDotF32(pa + i * k, pb, k);
@@ -454,8 +434,8 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b) {
     if (m > 1) {
       ParallelFor(0, m, /*grain=*/0,
                   [&](int64_t row_begin, int64_t row_end) {
-                    MatMulRowsCols<kSkipZeroLhs>(pa, pb, po, k, n, row_begin,
-                                                 row_end, 0, n);
+                    MatMulRowsCols(pa, pb, po, k, n, row_begin, row_end, 0,
+                                   n);
                   });
     } else {
       // Single-row product ([1, k] x [k, n], the per-triple scoring
@@ -465,53 +445,14 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b) {
       const int64_t tiles = (n + kTile - 1) / kTile;
       ParallelFor(0, tiles, /*grain=*/0,
                   [&](int64_t tile_begin, int64_t tile_end) {
-                    MatMulRowsCols<kSkipZeroLhs>(
-                        pa, pb, po, k, n, 0, 1, tile_begin * kTile,
-                        std::min<int64_t>(tile_end * kTile, n));
+                    MatMulRowsCols(pa, pb, po, k, n, 0, 1, tile_begin * kTile,
+                                   std::min<int64_t>(tile_end * kTile, n));
                   });
     }
   } else {
-    MatMulRowsCols<kSkipZeroLhs>(pa, pb, po, k, n, 0, m, 0, n);
+    MatMulRowsCols(pa, pb, po, k, n, 0, m, 0, n);
   }
   return out;
-}
-
-}  // namespace
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  return MatMulImpl</*kSkipZeroLhs=*/false>(a, b);
-}
-
-float SampledZeroFraction(const Tensor& t) {
-  const int64_t numel = t.numel();
-  if (numel == 0) return 0.0f;
-  constexpr int64_t kMaxSamples = 256;
-  // ceil-divided stride covers the whole tensor with <= kMaxSamples probes
-  // and never aliases to a single column of a matrix whose width divides
-  // the stride cleanly only in pathological shapes.
-  const int64_t stride =
-      numel <= kMaxSamples ? 1 : (numel + kMaxSamples - 1) / kMaxSamples;
-  const float* p = t.Data();
-  int64_t zeros = 0;
-  int64_t samples = 0;
-  for (int64_t i = 0; i < numel; i += stride) {
-    zeros += p[i] == 0.0f ? 1 : 0;
-    ++samples;
-  }
-  return static_cast<float>(zeros) / static_cast<float>(samples);
-}
-
-Tensor MatMulSkipZeroLhs(const Tensor& a, const Tensor& b) {
-  // Density probe: on a mostly-dense lhs the per-element zero test costs
-  // more (branch mispredictions) than the skipped work saves, so fall back
-  // to the dense kernel. The two kernels are bit-identical — skipping a
-  // zero aik merely avoids adding +0 to a +0-initialized register
-  // accumulator — so this dispatch can never change a result. (The n == 1
-  // dot path inside MatMulImpl never zero-skips for the same reason.)
-  if (SampledZeroFraction(a) < tune::SkipZeroLhsMinZeroFraction()) {
-    return MatMul(a, b);
-  }
-  return MatMulImpl</*kSkipZeroLhs=*/true>(a, b);
 }
 
 Tensor Transpose(const Tensor& a) {

@@ -127,20 +127,6 @@ Tensor Clamp(const Tensor& a, float lo, float hi);
 // n == 1 (dot-product column) shape instead follows the fixed-lane
 // reduction contract of lanes.h / DESIGN.md §12.
 Tensor MatMul(const Tensor& a, const Tensor& b);
-// Estimated fraction of zero elements in `t`, from a strided sample of at
-// most 256 elements (every element for small tensors). Cheap enough to run
-// per MatMul dispatch; deterministic for a given tensor.
-float SampledZeroFraction(const Tensor& t);
-// MatMul variant for mostly-zero left operands (e.g. one-hot node-label
-// features): a cheap density probe on `a` picks the zero-skipping inner
-// loop when the sampled zero fraction clears
-// tune::SkipZeroLhsMinZeroFraction() (env-tunable, see tensor/tuning.h),
-// and the plain dense kernel otherwise — so a dense `a` routed here no
-// longer pays for mispredicted per-element branches. Both loops produce
-// bit-identical results (skipping a zero term leaves the +0 register
-// accumulator unchanged), making the dispatch purely a performance
-// decision.
-Tensor MatMulSkipZeroLhs(const Tensor& a, const Tensor& b);
 // 2-D transpose.
 Tensor Transpose(const Tensor& a);
 

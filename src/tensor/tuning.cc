@@ -25,19 +25,6 @@ int64_t EnvInt64(const char* name, int64_t fallback) {
   return static_cast<int64_t>(v);
 }
 
-float EnvFloat(const char* name, float fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const float v = std::strtof(raw, &end);
-  if (end == raw || *end != '\0' || !(v >= 0.0f) || v > 1.0f) {
-    DEKG_WARN() << name << "=\"" << raw << "\" is not a fraction in [0, 1]; "
-                << "using default " << fallback;
-    return fallback;
-  }
-  return v;
-}
-
 }  // namespace
 
 int64_t ParallelElementwiseMin() {
@@ -49,12 +36,6 @@ int64_t ParallelElementwiseMin() {
 int64_t ParallelMatMulMinFlops() {
   static const int64_t v = EnvInt64("DEKG_TUNE_PARALLEL_MATMUL_MIN_FLOPS",
                                     kDefaultParallelMatMulMinFlops);
-  return v;
-}
-
-float SkipZeroLhsMinZeroFraction() {
-  static const float v = EnvFloat("DEKG_TUNE_SKIP_ZERO_MIN_FRACTION",
-                                  kDefaultSkipZeroLhsMinZeroFraction);
   return v;
 }
 

@@ -9,10 +9,9 @@
 //    regeneration — which is why they are macros resolved at compile time
 //    and deliberately NOT env-tunable.
 //
-//  * Runtime dispatch thresholds (parallel cutoffs, the zero-skip density
-//    gate). These only pick *which* of two bit-identical execution
-//    strategies runs — serial vs chunked across the pool, dense vs
-//    zero-skipping inner loop — so they are safe to tune per machine via
+//  * Runtime dispatch thresholds (parallel cutoffs). These only pick
+//    *which* of two bit-identical execution strategies runs — serial vs
+//    chunked across the pool — so they are safe to tune per machine via
 //    environment variables without any determinism impact. Each is read
 //    once on first use and cached for the life of the process.
 //
@@ -21,11 +20,6 @@
 //                                          (default 32768)
 //      DEKG_TUNE_PARALLEL_MATMUL_MIN_FLOPS m*k*n below which MatMul stays
 //                                          serial (default 1048576)
-//      DEKG_TUNE_SKIP_ZERO_MIN_FRACTION    sampled zero fraction of the
-//                                          lhs above which
-//                                          MatMulSkipZeroLhs uses the
-//                                          zero-skipping loop (default
-//                                          0.5; parsed as float)
 #ifndef DEKG_TENSOR_TUNING_H_
 #define DEKG_TENSOR_TUNING_H_
 
@@ -55,14 +49,12 @@ inline constexpr int64_t kMatMulColTile = 4 * kLanes;
 // Default values of the runtime thresholds (exposed for tests and docs).
 inline constexpr int64_t kDefaultParallelElementwiseMin = 1 << 15;
 inline constexpr int64_t kDefaultParallelMatMulMinFlops = 1 << 20;
-inline constexpr float kDefaultSkipZeroLhsMinZeroFraction = 0.5f;
 
 // Cached env-overridable getters for the runtime thresholds. Invalid or
 // non-positive override strings fall back to the default (with a warning
 // once), so a typo can never disable a kernel entirely.
 int64_t ParallelElementwiseMin();   // DEKG_TUNE_PARALLEL_ELEMENTWISE_MIN
 int64_t ParallelMatMulMinFlops();   // DEKG_TUNE_PARALLEL_MATMUL_MIN_FLOPS
-float SkipZeroLhsMinZeroFraction(); // DEKG_TUNE_SKIP_ZERO_MIN_FRACTION
 
 }  // namespace dekg::tune
 

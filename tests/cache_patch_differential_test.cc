@@ -1,5 +1,5 @@
 // Differential churn-test harness — the acceptance gate of the in-place
-// cache-patch path (DESIGN.md §13). Two InferenceEngines step IDENTICAL
+// cache-patch path (DESIGN.md §13). Two one-shard Routers step IDENTICAL
 // randomized ingest/score schedules side by side: one with patch_cache on
 // (patch / repair / fallback maintenance) and one with the
 // invalidate-on-ingest reference semantics. At EVERY step their scores
@@ -29,6 +29,7 @@
 #include "datagen/synthetic_kg.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
+#include "serve/router.h"
 
 namespace dekg::serve {
 namespace {
@@ -79,6 +80,13 @@ struct ScheduleOutcome {
   uint64_t ingest_steps = 0;
 };
 
+// A one-shard router: the single-engine server.
+RouterConfig OneShard(const EngineConfig& engine) {
+  RouterConfig config;
+  config.engine = engine;
+  return config;
+}
+
 // Steps one seeded churn schedule through both engines, gating bitwise
 // identity at every score step (differential + static-graph oracle).
 void RunChurnSchedule(uint64_t schedule_seed, int32_t num_steps,
@@ -92,9 +100,9 @@ void RunChurnSchedule(uint64_t schedule_seed, int32_t num_steps,
   patch_config.cache_capacity = 64;  // small: evictions interleave too
   EngineConfig invalidate_config = patch_config;
   invalidate_config.patch_cache = false;
-  InferenceEngine patch_engine(&model, dataset.original_graph(), patch_config);
-  InferenceEngine invalidate_engine(&model, dataset.original_graph(),
-                                    invalidate_config);
+  Router patch_engine(&model, dataset.original_graph(), OneShard(patch_config));
+  Router invalidate_engine(&model, dataset.original_graph(),
+                           OneShard(invalidate_config));
 
   // Score pool: the test links plus, as the schedule ingests isolated
   // emerging entities, triples that involve them.

@@ -1,13 +1,17 @@
-// Bitwise-identity gate of the packed (block-diagonal) GSM batch path
-// (DESIGN.md §11): for every batch size, bucket policy, thread count, and
-// encoder configuration, packed scores must equal the sequential
-// per-subgraph scores bit for bit — including degenerate subgraphs (zero
-// edges, minimum 2-node graphs).
+// Bitwise-identity gate of the one inference path (DESIGN.md §11):
+// packed (block-diagonal) GSM scores must equal the sequential
+// per-subgraph scores bit for bit for every batch size, thread count, and
+// encoder configuration — including degenerate subgraphs (zero edges,
+// minimum 2-node graphs) — and every model variant, scored offline by
+// DekgIlpPredictor or online by a Router, must equal the taped
+// DekgIlpModel::ScoreLink(training=false) bit for bit.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
+#include "baselines/grail.h"
 #include "common/thread_pool.h"
 #include "core/dekg_ilp.h"
 #include "core/gsm.h"
@@ -15,7 +19,7 @@
 #include "gnn/packed_batch.h"
 #include "gnn/rgcn.h"
 #include "graph/subgraph.h"
-#include "serve/engine.h"
+#include "serve/router.h"
 
 namespace dekg::core {
 namespace {
@@ -249,7 +253,7 @@ TEST(GsmBatchTest, DegenerateSubgraphsScoreIdentically) {
   }
 }
 
-TEST(GroupForPackingTest, PoliciesPartitionAndRespectCap) {
+TEST(GroupForPackingTest, GroupsPartitionBySizeAndRespectCap) {
   // Dummy subgraphs with controlled sizes (grouping reads sizes only).
   std::vector<Subgraph> subs(10);
   for (size_t i = 0; i < subs.size(); ++i) {
@@ -259,168 +263,178 @@ TEST(GroupForPackingTest, PoliciesPartitionAndRespectCap) {
   std::vector<int64_t> indices;
   for (int64_t i = 0; i < 10; ++i) indices.push_back(i);
 
-  for (auto bucket :
-       {GsmBatchOptions::Bucket::kNone, GsmBatchOptions::Bucket::kBySize,
-        GsmBatchOptions::Bucket::kByPow2}) {
-    GsmBatchOptions options;
-    options.bucket = bucket;
-    options.max_batch = 3;
-    const auto groups = GroupForPacking(Pointers(subs), indices, options);
-    std::vector<bool> seen(10, false);
-    for (const auto& group : groups) {
-      EXPECT_LE(group.size(), 3u);
-      EXPECT_FALSE(group.empty());
-      for (int64_t i : group) {
-        EXPECT_FALSE(seen[static_cast<size_t>(i)]) << "duplicate index";
-        seen[static_cast<size_t>(i)] = true;
-      }
-    }
-    for (bool s : seen) EXPECT_TRUE(s);
-    if (bucket == GsmBatchOptions::Bucket::kBySize) {
-      for (const auto& group : groups) {
-        for (int64_t i : group) {
-          EXPECT_EQ(subs[static_cast<size_t>(i)].nodes.size(),
-                    subs[static_cast<size_t>(group[0])].nodes.size());
-          EXPECT_EQ(subs[static_cast<size_t>(i)].edges.size(),
-                    subs[static_cast<size_t>(group[0])].edges.size());
-        }
-      }
+  GsmBatchOptions options;
+  options.max_batch = 3;
+  const auto groups = GroupForPacking(Pointers(subs), indices, options);
+  std::vector<bool> seen(10, false);
+  for (const auto& group : groups) {
+    EXPECT_LE(group.size(), 3u);
+    EXPECT_FALSE(group.empty());
+    for (int64_t i : group) {
+      EXPECT_FALSE(seen[static_cast<size_t>(i)]) << "duplicate index";
+      seen[static_cast<size_t>(i)] = true;
+      EXPECT_EQ(subs[static_cast<size_t>(i)].nodes.size(),
+                subs[static_cast<size_t>(group[0])].nodes.size());
+      EXPECT_EQ(subs[static_cast<size_t>(i)].edges.size(),
+                subs[static_cast<size_t>(group[0])].edges.size());
     }
   }
+  for (bool s : seen) EXPECT_TRUE(s);
 }
 
-TEST(GsmBatchTest, ScoreTriplesBatchPoolParameterIsBitwiseTransparent) {
-  KnowledgeGraph g = BatchGraph();
-  Rng rng(13);
-  Gsm gsm(SmallConfig(), &rng);
-  std::vector<Triple> triples = CandidateTriples(9);
-  const std::vector<double> reference =
-      gsm.ScoreTriplesBatch(g, triples, /*seed=*/77);
-  ThreadPool pool(3);
-  const std::vector<double> pooled =
-      gsm.ScoreTriplesBatch(g, triples, /*seed=*/77, &pool);
-  ASSERT_EQ(pooled.size(), reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(pooled[i], reference[i]) << "triple " << i;
-  }
+DekgDataset VariantDataset() {
+  datagen::SchemaConfig schema;
+  schema.num_types = 5;
+  schema.num_relations = 14;
+  schema.num_entities = 160;
+  datagen::SplitConfig split;
+  split.max_test_links = 40;
+  return datagen::MakeDekgDataset("gsm-batch-variants", schema, split,
+                                  /*seed=*/21);
 }
 
-TEST(GsmBatchTest, PredictorCacheHitPackingIsBitwiseTransparent) {
-  DekgDataset dataset = datagen::MakeDekgDataset(
-      "gsm-batch",
-      [] {
-        datagen::SchemaConfig schema;
-        schema.num_types = 5;
-        schema.num_relations = 14;
-        schema.num_entities = 160;
-        return schema;
-      }(),
-      [] {
-        datagen::SplitConfig split;
-        split.max_test_links = 40;
-        return split;
-      }(),
-      /*seed=*/21);
+struct Variant {
+  std::string name;
   DekgIlpConfig config;
-  config.num_relations = dataset.num_relations();
-  config.dim = 8;
-  DekgIlpModel model(config, /*seed=*/3);
+};
+
+// DEKG-ILP, its -R / CLRM-only / -N ablations, and the GraIL baseline.
+std::vector<Variant> Variants(int32_t num_relations) {
+  DekgIlpConfig full;
+  full.num_relations = num_relations;
+  full.dim = 8;
+  DekgIlpConfig no_clrm = full;
+  no_clrm.use_clrm = false;
+  DekgIlpConfig clrm_only = full;
+  clrm_only.use_gsm = false;
+  DekgIlpConfig grail_labels = full;
+  grail_labels.labeling = NodeLabeling::kGrail;
+  return {{"DEKG-ILP", full},
+          {"-R", no_clrm},
+          {"CLRM only", clrm_only},
+          {"-N", grail_labels},
+          {"GraIL", baselines::GrailConfig(num_relations, /*dim=*/8)}};
+}
+
+void ExpectBitwiseEqual(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " triple " << i;
+  }
+}
+
+TEST(InferencePathTest, EveryVariantAndScorerMatchesTapedScoreLink) {
+  const DekgDataset dataset = VariantDataset();
+  const KnowledgeGraph& graph = dataset.inference_graph();
   std::vector<Triple> triples;
+  std::vector<serve::ScoreItem> items;
   for (const LabeledLink& link : dataset.test_links()) {
+    items.push_back({link.triple, MixSeed(123, triples.size())});
     triples.push_back(link.triple);
     if (triples.size() >= 24) break;
   }
   ASSERT_GE(triples.size(), 16u);
 
-  // Prefill only the even triples so the batch mixes hits and misses.
-  SubgraphCache cache;
-  for (size_t i = 0; i < triples.size(); i += 2) {
-    cache.Insert(triples[i],
-                 model.gsm()->Extract(dataset.inference_graph(), triples[i]));
-  }
-
-  DekgIlpPredictor sequential(&model);
-  GsmBatchOptions off;
-  off.max_batch = 1;
-  sequential.set_gsm_batch_options(off);
-  const std::vector<double> reference = sequential.ScoreTriplesCached(
-      dataset.inference_graph(), triples, &cache);
-
-  for (auto bucket :
-       {GsmBatchOptions::Bucket::kNone, GsmBatchOptions::Bucket::kBySize,
-        GsmBatchOptions::Bucket::kByPow2}) {
-    for (int32_t max_batch : {2, 7, 64}) {
-      DekgIlpPredictor packed(&model);
-      GsmBatchOptions options;
-      options.bucket = bucket;
-      options.max_batch = max_batch;
-      packed.set_gsm_batch_options(options);
-      for (int threads : {1, 4}) {
-        SetDefaultThreadCount(threads);
-        const std::vector<double> scores = packed.ScoreTriplesCached(
-            dataset.inference_graph(), triples, &cache);
-        SetDefaultThreadCount(0);
-        ASSERT_EQ(scores.size(), reference.size());
-        for (size_t i = 0; i < reference.size(); ++i) {
-          EXPECT_EQ(scores[i], reference[i])
-              << "bucket " << static_cast<int>(bucket) << " max_batch "
-              << max_batch << " threads " << threads << " triple " << i;
-        }
+  for (const Variant& variant : Variants(dataset.num_relations())) {
+    DekgIlpModel model(variant.config, /*seed=*/3);
+    std::vector<double> reference;
+    for (const Triple& t : triples) {
+      Rng unused(0);
+      reference.push_back(static_cast<double>(
+          model.ScoreLink(graph, t, /*training=*/false, &unused)
+              .value()
+              .Data()[0]));
+    }
+    // Half-filled cache: the even triples hit, the odd ones extract.
+    SubgraphCache cache;
+    if (model.gsm() != nullptr) {
+      for (size_t i = 0; i < triples.size(); i += 2) {
+        cache.Insert(triples[i], model.gsm()->Extract(graph, triples[i]));
       }
+    }
+
+    for (int threads : {1, 4}) {
+      SetDefaultThreadCount(threads);
+      const std::string at =
+          variant.name + " threads " + std::to_string(threads);
+      DekgIlpPredictor predictor(&model);
+      ExpectBitwiseEqual(predictor.ScoreTriples(graph, triples), reference,
+                         at + " ScoreTriples");
+      ExpectBitwiseEqual(predictor.ScoreTriplesCached(graph, triples, &cache),
+                         reference, at + " ScoreTriplesCached");
+      for (int32_t shards : {1, 3}) {
+        serve::RouterConfig config;
+        config.num_shards = shards;
+        config.engine.score_memo_capacity = 0;  // the warm pass hits the cache
+        serve::Router router(&model, graph, config);
+        const std::string where = at + " shards " + std::to_string(shards);
+        ExpectBitwiseEqual(router.ScoreBatch(items), reference, where + " cold");
+        ExpectBitwiseEqual(router.ScoreBatch(items), reference, where + " warm");
+      }
+      SetDefaultThreadCount(0);
     }
   }
 }
 
-TEST(GsmBatchTest, ServeEnginePackingIsBitwiseTransparent) {
-  DekgDataset dataset = datagen::MakeDekgDataset(
-      "gsm-batch-serve",
-      [] {
-        datagen::SchemaConfig schema;
-        schema.num_types = 5;
-        schema.num_relations = 14;
-        schema.num_entities = 160;
-        return schema;
-      }(),
-      [] {
-        datagen::SplitConfig split;
-        split.max_test_links = 40;
-        return split;
-      }(),
-      /*seed=*/22);
-  DekgIlpConfig config;
-  config.num_relations = dataset.num_relations();
-  config.dim = 8;
-  DekgIlpModel model(config, /*seed=*/5);
-  std::vector<serve::ScoreItem> items;
+TEST(InferencePathTest, JkConcatGsmMatchesTapedScoresAtEveryGroupCap) {
+  // DekgIlpConfig has no readout switch, so the jk_concat GSM goes
+  // through ScoreInference directly, next to a CLRM over fused rows.
+  const DekgDataset dataset = VariantDataset();
+  const KnowledgeGraph& graph = dataset.inference_graph();
+  Rng init(5);
+  GsmConfig gsm_config;
+  gsm_config.num_relations = dataset.num_relations();
+  gsm_config.dim = 8;
+  gsm_config.jk_concat = true;
+  Gsm gsm(gsm_config, &init);
+  ClrmConfig clrm_config;
+  clrm_config.num_relations = dataset.num_relations();
+  clrm_config.dim = 8;
+  Clrm clrm(clrm_config, &init);
+
+  std::vector<Triple> triples;
   for (const LabeledLink& link : dataset.test_links()) {
-    items.push_back({link.triple, MixSeed(123, items.size())});
-    if (items.size() >= 16) break;
+    triples.push_back(link.triple);
+    if (triples.size() >= 24) break;
   }
-  ASSERT_GE(items.size(), 8u);
+  const std::vector<Subgraph> subs = gsm.ExtractBatch(graph, triples);
+  std::vector<Tensor> fused(static_cast<size_t>(graph.num_entities()));
+  for (EntityId e = 0; e < graph.num_entities(); ++e) {
+    fused[static_cast<size_t>(e)] =
+        clrm.EmbedEntity(graph.RelationComponentTable(e)).value();
+  }
+  ClrmRows rows;
+  rows.fp32 = [&](EntityId e) -> const Tensor& {
+    return fused[static_cast<size_t>(e)];
+  };
 
-  serve::EngineConfig sequential_config;
-  sequential_config.gsm_batch.max_batch = 1;
-  serve::InferenceEngine sequential(&model, dataset.inference_graph(),
-                                    sequential_config);
-  const std::vector<double> reference = sequential.ScoreBatch(items);
+  std::vector<double> reference;
+  for (size_t i = 0; i < triples.size(); ++i) {
+    const Triple& t = triples[i];
+    Rng unused(0);
+    const ag::Var sem =
+        clrm.ScoreTriple(graph.RelationComponentTable(t.head), t.rel,
+                         graph.RelationComponentTable(t.tail));
+    const ag::Var tpo =
+        gsm.ScoreSubgraph(subs[i], t.rel, /*training=*/false, &unused);
+    reference.push_back(
+        static_cast<double>(ag::Add(sem, tpo).value().Data()[0]));
+  }
 
-  for (auto bucket :
-       {GsmBatchOptions::Bucket::kNone, GsmBatchOptions::Bucket::kBySize,
-        GsmBatchOptions::Bucket::kByPow2}) {
-    serve::EngineConfig packed_config;
-    packed_config.gsm_batch.bucket = bucket;
-    serve::InferenceEngine engine(&model, dataset.inference_graph(),
-                                  packed_config);
-    // Cold (all misses) and warm (all cache hits) batches both pack.
-    const std::vector<double> cold = engine.ScoreBatch(items);
-    const std::vector<double> warm = engine.ScoreBatch(items);
-    ASSERT_EQ(cold.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(cold[i], reference[i])
-          << "bucket " << static_cast<int>(bucket) << " cold item " << i;
-      EXPECT_EQ(warm[i], reference[i])
-          << "bucket " << static_cast<int>(bucket) << " warm item " << i;
+  for (int threads : {1, 4}) {
+    SetDefaultThreadCount(threads);
+    for (int32_t cap : {1, 3, 8, 64}) {
+      GsmBatchOptions options;
+      options.max_batch = cap;
+      ExpectBitwiseEqual(
+          ScoreInference(&clrm, &gsm, triples, Pointers(subs), rows,
+                         /*qweights=*/nullptr, options),
+          reference,
+          "threads " + std::to_string(threads) + " cap " + std::to_string(cap));
     }
+    SetDefaultThreadCount(0);
   }
 }
 

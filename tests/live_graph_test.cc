@@ -23,6 +23,7 @@
 #include "graph/subgraph.h"
 #include "serve/engine.h"
 #include "serve/live_graph.h"
+#include "serve/router.h"
 
 namespace dekg::serve {
 namespace {
@@ -188,8 +189,15 @@ core::DekgIlpConfig SmallModelConfig(int32_t num_relations) {
   return config;
 }
 
+// A one-shard router: the single-engine server.
+RouterConfig OneShard(const EngineConfig& engine) {
+  RouterConfig config;
+  config.engine = engine;
+  return config;
+}
+
 std::vector<ScoreItem> ItemsFor(const std::vector<Triple>& triples) {
-  // The same per-index stream derivation DekgIlpPredictor uses (seed 123).
+  // Item seeds as the batcher derives them for request seed 123.
   std::vector<ScoreItem> items;
   for (size_t i = 0; i < triples.size(); ++i) {
     items.push_back({triples[i], MixSeed(123, i)});
@@ -200,7 +208,7 @@ std::vector<ScoreItem> ItemsFor(const std::vector<Triple>& triples) {
 TEST(LiveGraphTest, IsolatedEntityScoresWithoutDivisionByZero) {
   KnowledgeGraph base = BuildGraph(4, 3, {{0, 0, 1}, {1, 1, 2}, {2, 2, 3}});
   core::DekgIlpModel model(SmallModelConfig(3), /*seed=*/7);
-  InferenceEngine engine(&model, base, EngineConfig{});
+  Router engine(&model, base, RouterConfig{});
 
   // Grow the space past id 6 without giving 5 any incident triple.
   IngestResponse response;
@@ -227,7 +235,7 @@ TEST(LiveGraphTest, IngestRefreshesExactlyTheTouchedEmbeddings) {
   DekgDataset dataset = SyntheticDataset();
   core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
                            /*seed=*/7);
-  InferenceEngine engine(&model, dataset.original_graph(), EngineConfig{});
+  Router engine(&model, dataset.original_graph(), RouterConfig{});
 
   IngestResponse response;
   engine.Ingest(dataset.emerging_triples(), &response);
@@ -264,7 +272,7 @@ TEST(LiveGraphTest, InvalidationLeavesScoresEqualToFreshEngine) {
 
   // Warm engine: starts on the train graph, caches stale extractions by
   // scoring before the ingest, then ingests the emerging triples.
-  InferenceEngine warm(&model, dataset.original_graph(), EngineConfig{});
+  Router warm(&model, dataset.original_graph(), RouterConfig{});
   (void)warm.ScoreBatch(ItemsFor(targets));  // populate cache pre-ingest
   IngestResponse response;
   warm.Ingest(dataset.emerging_triples(), &response);
@@ -274,7 +282,7 @@ TEST(LiveGraphTest, InvalidationLeavesScoresEqualToFreshEngine) {
   // Fresh engine: built directly on the equivalent static graph, empty
   // cache. If invalidation missed any stale entry the warm scores would
   // diverge from these.
-  InferenceEngine fresh(&model, dataset.inference_graph(), EngineConfig{});
+  Router fresh(&model, dataset.inference_graph(), RouterConfig{});
   std::vector<double> reference = fresh.ScoreBatch(ItemsFor(targets));
 
   ASSERT_EQ(after_ingest.size(), reference.size());
@@ -289,7 +297,7 @@ TEST(LiveGraphTest, CacheCapacityIsEnforcedFifoWithIndexCleanup) {
                            /*seed=*/7);
   EngineConfig config;
   config.cache_capacity = 4;
-  InferenceEngine engine(&model, dataset.inference_graph(), config);
+  Router engine(&model, dataset.inference_graph(), OneShard(config));
 
   std::vector<Triple> targets;
   for (const LabeledLink& link : dataset.test_links()) {

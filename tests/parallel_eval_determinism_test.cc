@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dekg_ilp.h"
-#include "core/gsm.h"
 #include "datagen/synthetic_kg.h"
 #include "eval/evaluator.h"
 #include "graph/subgraph.h"
@@ -111,38 +110,6 @@ TEST(ParallelEvalDeterminismTest, DekgIlpModelIdenticalAt128Threads) {
   ASSERT_GT(one.overall.num_tasks, 0);
   ExpectBitIdentical(one, two);
   ExpectBitIdentical(one, eight);
-}
-
-TEST(ParallelEvalDeterminismTest, GsmBatchMatchesSerialScoreTriple) {
-  DekgDataset dataset = SyntheticDataset();
-  core::GsmConfig config;
-  config.num_relations = dataset.num_relations();
-  config.dim = 8;
-  Rng init(11);
-  core::Gsm gsm(config, &init);
-  const KnowledgeGraph& graph = dataset.inference_graph();
-
-  std::vector<Triple> triples;
-  for (const LabeledLink& link : dataset.test_links()) {
-    triples.push_back(link.triple);
-    if (triples.size() >= 10) break;
-  }
-  ASSERT_GE(triples.size(), 2u);
-
-  SetDefaultThreadCount(4);
-  std::vector<double> batch = gsm.ScoreTriplesBatch(graph, triples, 55);
-  SetDefaultThreadCount(1);
-  std::vector<double> serial = gsm.ScoreTriplesBatch(graph, triples, 55);
-  SetDefaultThreadCount(0);
-
-  ASSERT_EQ(batch.size(), triples.size());
-  for (size_t i = 0; i < triples.size(); ++i) {
-    EXPECT_EQ(batch[i], serial[i]) << "triple " << i;
-    Rng rng(MixSeed(55, i));
-    ag::Var direct =
-        gsm.ScoreTriple(graph, triples[i], /*training=*/false, &rng);
-    EXPECT_EQ(batch[i], static_cast<double>(direct.value().Data()[0]));
-  }
 }
 
 TEST(ParallelEvalDeterminismTest, WorkspaceExtractionMatchesPlain) {

@@ -91,16 +91,21 @@ EngineConfig ConfigFor(quant::Precision precision) {
   return config;
 }
 
-// Adapts an InferenceEngine to the evaluator's LinkPredictor interface.
-// Every ScoreTriples call derives item seeds exactly as the offline
-// predictor does internally — MixSeed(123, index within the call) — so
-// at fp32 the adapter is score-for-score bit-identical to
-// DekgIlpPredictor and Evaluate() sees identical ranks. Scoring stays
-// serial (SupportsConcurrentScoring false): the engine contract is one
-// caller at a time.
+// A one-shard router: the single-engine server.
+RouterConfig OneShard(const EngineConfig& engine) {
+  RouterConfig config;
+  config.engine = engine;
+  return config;
+}
+
+// Adapts a one-shard Router to the evaluator's LinkPredictor interface.
+// A score depends only on (triple, graph), so at fp32 the adapter is
+// score-for-score bit-identical to DekgIlpPredictor and Evaluate() sees
+// identical ranks. Scoring stays serial (SupportsConcurrentScoring
+// false): the router contract is one caller at a time.
 class EnginePredictor : public LinkPredictor {
  public:
-  explicit EnginePredictor(InferenceEngine* engine) : engine_(engine) {}
+  explicit EnginePredictor(Router* engine) : engine_(engine) {}
 
   std::string Name() const override { return "serve-engine"; }
 
@@ -113,7 +118,7 @@ class EnginePredictor : public LinkPredictor {
   int64_t ParameterCount() const override { return 0; }
 
  private:
-  InferenceEngine* engine_;
+  Router* engine_;
 };
 
 EvalConfig GateEvalConfig() {
@@ -171,8 +176,8 @@ TEST(QuantGateTest, Fp32EngineEvaluatesBitwiseIdenticalToOffline) {
   core::DekgIlpPredictor predictor(&model);
   const EvalResult offline = Evaluate(&predictor, dataset, eval_config);
 
-  InferenceEngine engine(&model, dataset.inference_graph(),
-                         ConfigFor(quant::Precision::kFp32));
+  Router engine(&model, dataset.inference_graph(),
+                OneShard(ConfigFor(quant::Precision::kFp32)));
   EnginePredictor adapter(&engine);
   const EvalResult online = Evaluate(&adapter, dataset, eval_config);
 
@@ -195,8 +200,8 @@ TEST(QuantGateTest, QuantizedModesStayWithinEpsilonOfFp32) {
   const std::vector<Triple> triples = TestTriples(dataset, 16);
   ASSERT_GE(triples.size(), 8u);
 
-  InferenceEngine fp32_engine(&model, dataset.inference_graph(),
-                              ConfigFor(quant::Precision::kFp32));
+  Router fp32_engine(&model, dataset.inference_graph(),
+                     OneShard(ConfigFor(quant::Precision::kFp32)));
   EnginePredictor fp32_adapter(&fp32_engine);
   const std::string fp32_summary =
       GoldenSummary(Evaluate(&fp32_adapter, dataset, eval_config));
@@ -211,8 +216,8 @@ TEST(QuantGateTest, QuantizedModesStayWithinEpsilonOfFp32) {
   for (const Mode& mode :
        {Mode{quant::Precision::kFp16, kFp16MetricEps, kFp16ScoreEps},
         Mode{quant::Precision::kInt8, kInt8MetricEps, kInt8ScoreEps}}) {
-    InferenceEngine engine(&model, dataset.inference_graph(),
-                           ConfigFor(mode.precision));
+    Router engine(&model, dataset.inference_graph(),
+                  OneShard(ConfigFor(mode.precision)));
     EnginePredictor adapter(&engine);
     const std::string summary =
         GoldenSummary(Evaluate(&adapter, dataset, eval_config));
@@ -251,8 +256,8 @@ TEST(QuantGateTest, QuantizedScoresAreBitDeterministic) {
     std::vector<double> reference;
     for (int threads : {1, 8}) {
       SetDefaultThreadCount(threads);
-      InferenceEngine engine(&model, dataset.inference_graph(),
-                             ConfigFor(precision));
+      Router engine(&model, dataset.inference_graph(),
+                    OneShard(ConfigFor(precision)));
       const std::vector<double> scores = engine.ScoreBatch(ItemsFor(triples));
       // Warm pass: served from the subgraph cache, still identical.
       const std::vector<double> warm = engine.ScoreBatch(ItemsFor(triples));
@@ -272,8 +277,8 @@ TEST(QuantGateTest, QuantizedScoresAreBitDeterministic) {
     // batch, two halves, and one-by-one produce identical bits (item
     // seeds travel with the items, and dynamic activation quantization
     // is row-content-pure).
-    InferenceEngine engine(&model, dataset.inference_graph(),
-                           ConfigFor(precision));
+    Router engine(&model, dataset.inference_graph(),
+                  OneShard(ConfigFor(precision)));
     const std::vector<ScoreItem> items = ItemsFor(triples);
     const std::vector<double> whole = engine.ScoreBatch(items);
     EXPECT_EQ(whole, reference) << quant::PrecisionName(precision);
@@ -308,14 +313,14 @@ TEST(QuantGateTest, QuantizedChurnConvergesBitwiseToFreshEngine) {
     // then score: the quantized rows refreshed along the way must equal
     // a fresh engine's rows quantized from the full graph (both
     // quantize the same recomputed fp32 fusion rows).
-    InferenceEngine churned(&model, dataset.original_graph(),
-                            ConfigFor(precision));
+    Router churned(&model, dataset.original_graph(),
+                   OneShard(ConfigFor(precision)));
     IngestResponse response;
     churned.Ingest(dataset.emerging_triples(), &response);
     ASSERT_EQ(response.status, Status::kOk) << response.error;
 
-    InferenceEngine fresh(&model, dataset.inference_graph(),
-                          ConfigFor(precision));
+    Router fresh(&model, dataset.inference_graph(),
+                 OneShard(ConfigFor(precision)));
     const std::vector<double> after = churned.ScoreBatch(ItemsFor(triples));
     const std::vector<double> want = fresh.ScoreBatch(ItemsFor(triples));
     EXPECT_EQ(after, want) << quant::PrecisionName(precision);
@@ -331,9 +336,9 @@ TEST(QuantGateTest, ShardedRouterServesQuantizedBitIdenticalToStandalone) {
 
   for (quant::Precision precision :
        {quant::Precision::kFp16, quant::Precision::kInt8}) {
-    InferenceEngine standalone(&model, dataset.inference_graph(),
-                               ConfigFor(precision));
-    const std::vector<double> want = standalone.ScoreBatch(ItemsFor(triples));
+    Router one_shard(&model, dataset.inference_graph(),
+                     OneShard(ConfigFor(precision)));
+    const std::vector<double> want = one_shard.ScoreBatch(ItemsFor(triples));
 
     // The router's shared SnapshotWriter must carry the configured
     // precision to its follower engines; fan-out/fan-in changes nothing.
@@ -360,8 +365,8 @@ TEST(QuantGateTest, FootprintAccountingReportsTheReduction) {
                                          quant::Precision::kFp16,
                                          quant::Precision::kInt8};
   for (int p = 0; p < 3; ++p) {
-    InferenceEngine engine(&model, dataset.inference_graph(),
-                           ConfigFor(precisions[p]));
+    Router engine(&model, dataset.inference_graph(),
+                  OneShard(ConfigFor(precisions[p])));
     stats[p] = engine.Stats();
     EXPECT_EQ(stats[p].precision, static_cast<uint8_t>(precisions[p]));
     EXPECT_GT(stats[p].frozen_row_bytes, 0u);

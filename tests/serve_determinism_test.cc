@@ -57,6 +57,13 @@ std::vector<Triple> TestTriples(const DekgDataset& dataset, size_t limit) {
   return triples;
 }
 
+// A one-shard router: the single-engine server.
+RouterConfig OneShard(const EngineConfig& engine) {
+  RouterConfig config;
+  config.engine = engine;
+  return config;
+}
+
 std::vector<ScoreItem> ItemsFor(const std::vector<Triple>& triples,
                                 uint64_t request_seed = 123) {
   std::vector<ScoreItem> items;
@@ -84,7 +91,7 @@ TEST(ServeDeterminismTest, EngineMatchesOfflinePredictorAtAnyThreadCount) {
     // would replay the second pass without touching the cache).
     EngineConfig config;
     config.score_memo_capacity = 0;
-    InferenceEngine engine(&model, dataset.inference_graph(), config);
+    Router engine(&model, dataset.inference_graph(), OneShard(config));
     std::vector<double> online = engine.ScoreBatch(ItemsFor(triples));
     // Second pass is served from the subgraph cache — still identical.
     std::vector<double> cached = engine.ScoreBatch(ItemsFor(triples));
@@ -108,7 +115,7 @@ TEST(ServeDeterminismTest, ScoreMemoReplaysBitwiseAndFlushesOnEpochAdvance) {
   std::vector<Triple> triples = TestTriples(dataset, 12);
   ASSERT_GE(triples.size(), 8u);
 
-  InferenceEngine engine(&model, dataset.original_graph(), EngineConfig{});
+  Router engine(&model, dataset.original_graph(), RouterConfig{});
   const std::vector<double> first = engine.ScoreBatch(ItemsFor(triples));
   const std::vector<double> replay = engine.ScoreBatch(ItemsFor(triples));
   ASSERT_EQ(replay.size(), first.size());
@@ -137,7 +144,7 @@ TEST(ServeDeterminismTest, ScoreMemoReplaysBitwiseAndFlushesOnEpochAdvance) {
   ASSERT_EQ(response.status, Status::kOk) << response.error;
   EXPECT_EQ(engine.Stats().memo_entries, 0u);
   const std::vector<double> after = engine.ScoreBatch(ItemsFor(triples));
-  InferenceEngine fresh(&model, dataset.inference_graph(), EngineConfig{});
+  Router fresh(&model, dataset.inference_graph(), RouterConfig{});
   const std::vector<double> reference = fresh.ScoreBatch(ItemsFor(triples));
   ASSERT_EQ(after.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
@@ -148,7 +155,7 @@ TEST(ServeDeterminismTest, ScoreMemoReplaysBitwiseAndFlushesOnEpochAdvance) {
   // evicted), so exactly the first `capacity` stream items replay.
   EngineConfig small;
   small.score_memo_capacity = 4;
-  InferenceEngine bounded(&model, dataset.inference_graph(), small);
+  Router bounded(&model, dataset.inference_graph(), OneShard(small));
   (void)bounded.ScoreBatch(ItemsFor(triples));
   (void)bounded.ScoreBatch(ItemsFor(triples));
   stats = bounded.Stats();
@@ -160,7 +167,7 @@ TEST(ServeDeterminismTest, ScoresAreInvariantToMicroBatchComposition) {
   DekgDataset dataset = SyntheticDataset();
   core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
                            /*seed=*/3);
-  InferenceEngine engine(&model, dataset.inference_graph(), EngineConfig{});
+  Router engine(&model, dataset.inference_graph(), RouterConfig{});
   std::vector<Triple> triples = TestTriples(dataset, 12);
   ASSERT_GE(triples.size(), 8u);
 
@@ -266,8 +273,8 @@ TEST(ServeDeterminismTest, ServerScoresBitIdenticalToOfflineOverTcp) {
     Client client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
 
-    // One request carrying all triples: item i scores with
-    // MixSeed(123, i), exactly the offline predictor's stream.
+    // One request carrying all triples: item i's seed is
+    // MixSeed(123, i).
     ScoreRequest request;
     request.with_rank = true;
     request.triples = triples;

@@ -149,7 +149,7 @@ TEST(ShardRoutingTest, RouterFanInMatchesSingleEngineBitwise) {
   std::vector<Triple> triples = TestTriples(dataset, 16);
   ASSERT_GE(triples.size(), 8u);
 
-  InferenceEngine single(&model, dataset.inference_graph(), EngineConfig{});
+  Router single(&model, dataset.inference_graph(), RouterConfig{});
   const std::vector<double> reference = single.ScoreBatch(ItemsFor(triples));
 
   for (int32_t shards : {1, 2, 3, 8}) {
@@ -201,7 +201,7 @@ TEST(ShardRoutingTest, PipelinedTcpScoresMatchGoldenAtEveryShardCountAndDepth) {
   std::vector<double> golden_before;
   std::vector<double> golden_after;
   {
-    InferenceEngine engine(&model, dataset.original_graph(), EngineConfig{});
+    Router engine(&model, dataset.original_graph(), RouterConfig{});
     golden_before = engine.ScoreBatch(ItemsFor(triples));
     IngestResponse ingested;
     engine.Ingest(dataset.emerging_triples(), &ingested);

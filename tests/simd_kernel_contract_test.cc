@@ -198,21 +198,6 @@ TEST(MatMulContractTest, DotColumnPathFollowsLaneContract) {
   }
 }
 
-TEST(MatMulContractTest, SkipZeroLhsMatchesDenseBitwise) {
-  Rng rng(17);
-  // Mostly-zero lhs so the probe actually takes the zero-skipping loop.
-  Tensor a = Tensor::Zeros({24, 40});
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    if (rng.Bernoulli(0.15f)) a.Data()[i] = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
-  }
-  ASSERT_GE(SampledZeroFraction(a), tune::SkipZeroLhsMinZeroFraction());
-  for (int64_t n : {int64_t{1}, kLanes, tune::kMatMulColTile + 3}) {
-    Tensor b = RandomTensor({40, n}, 509 + n);
-    ExpectBitEqual(MatMulSkipZeroLhs(a, b), MatMul(a, b),
-                   "MatMulSkipZeroLhs vs MatMul");
-  }
-}
-
 TEST(MatMulContractTest, ParallelDispatchIsThreadCountInvariant) {
   // Big enough that m*k*n clears the default parallel threshold for both
   // the m > 1 row split and the m == 1 column-tile split.

@@ -3,6 +3,10 @@
 // a served subgraph is exactly what a fresh extraction would produce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "graph/subgraph.h"
 
 namespace dekg {
@@ -149,6 +153,65 @@ TEST(SubgraphCacheTest, CapacityInvariantHoldsUnderChurn) {
     }
     ASSERT_EQ(cache.stats().bytes, bytes) << "round " << round;
   }
+}
+
+TEST(SubgraphCacheTest, FifoQueueStaysBoundedByResidency) {
+  // An unlimited cache never evicts, so it keeps no queue at all.
+  SubgraphCache unlimited(/*capacity=*/0);
+  for (int32_t i = 0; i < 100000; ++i) {
+    unlimited.Insert(Triple{i, 0, i + 1}, MakeSubgraph(2, 0));
+  }
+  EXPECT_EQ(unlimited.stats().entries, 100000);
+  EXPECT_EQ(unlimited.stats().fifo_slots, 0);
+
+  // Insert/erase churn below capacity leaves a stale slot per cycle;
+  // compaction keeps the queue within about twice the resident count.
+  const int64_t capacity = 8;
+  SubgraphCache bounded(capacity);
+  for (int32_t i = 0; i < 4; ++i) {
+    bounded.Insert(Triple{-1 - i, 0, 0}, MakeSubgraph(2, 0));
+  }
+  for (int32_t i = 0; i < 100000; ++i) {
+    const Triple t{i, 0, i + 1};
+    bounded.Insert(t, MakeSubgraph(2, 0));
+    ASSERT_TRUE(bounded.Erase(t));
+    ASSERT_LE(bounded.stats().fifo_slots, 2 * capacity + 20) << "cycle " << i;
+  }
+  EXPECT_EQ(bounded.stats().entries, 4);
+  EXPECT_EQ(bounded.stats().evictions, 0);
+}
+
+TEST(SubgraphCacheTest, CompactionKeepsEvictionOrderAndReportsVictims) {
+  // Random insert / erase / re-insert churn against a reference FIFO of
+  // live keys: every eviction must retire the reference's oldest live key
+  // and be reported through Insert's `evicted` list.
+  const int64_t capacity = 6;
+  SubgraphCache cache(capacity);
+  std::vector<Triple> reference;  // live keys, oldest first
+  Rng rng(23);
+  for (int32_t step = 0; step < 20000; ++step) {
+    const Triple t{static_cast<EntityId>(rng.UniformInt(0, 15)), 0, 99};
+    const auto pos = std::find(reference.begin(), reference.end(), t);
+    if (rng.Bernoulli(0.4)) {
+      EXPECT_EQ(cache.Erase(t), pos != reference.end());
+      if (pos != reference.end()) reference.erase(pos);
+      continue;
+    }
+    std::vector<Triple> evicted;
+    cache.Insert(t, MakeSubgraph(2, 0), &evicted);
+    std::vector<Triple> want;
+    if (pos == reference.end()) {
+      if (static_cast<int64_t>(reference.size()) == capacity) {
+        want.push_back(reference.front());
+        reference.erase(reference.begin());
+      }
+      reference.push_back(t);
+    }
+    ASSERT_EQ(evicted, want) << "step " << step;
+    ASSERT_EQ(cache.stats().entries, static_cast<int64_t>(reference.size()));
+    ASSERT_LE(cache.stats().fifo_slots, 2 * capacity + 20) << "step " << step;
+  }
+  for (const Triple& t : reference) EXPECT_NE(cache.Find(t), nullptr);
 }
 
 TEST(SubgraphCacheTest, ReplaceSwapsPayloadInPlace) {

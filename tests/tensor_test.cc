@@ -1,7 +1,5 @@
 #include "tensor/tensor.h"
 
-#include "tensor/tuning.h"
-
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -93,43 +91,6 @@ TEST(TensorTest, MatMulKnownValues) {
   EXPECT_EQ(c.At(0, 1), 64.0f);
   EXPECT_EQ(c.At(1, 0), 139.0f);
   EXPECT_EQ(c.At(1, 1), 154.0f);
-}
-
-TEST(TensorTest, SampledZeroFractionEstimates) {
-  // Small tensors are sampled exhaustively: the estimate is exact.
-  EXPECT_EQ(SampledZeroFraction(Tensor::Zeros({4, 4})), 1.0f);
-  EXPECT_EQ(SampledZeroFraction(Tensor::Ones({4, 4})), 0.0f);
-  Tensor half({4}, {0.0f, 1.0f, 0.0f, 2.0f});
-  EXPECT_EQ(SampledZeroFraction(half), 0.5f);
-  // Large tensors are strided-sampled but all-zero / all-nonzero inputs
-  // still classify exactly.
-  EXPECT_EQ(SampledZeroFraction(Tensor::Zeros({100, 100})), 1.0f);
-  EXPECT_EQ(SampledZeroFraction(Tensor::Full({100, 100}, 3.0f)), 0.0f);
-}
-
-TEST(TensorTest, MatMulSkipZeroLhsMatchesDenseOnBothBranches) {
-  Rng rng(9);
-  Tensor b = Tensor::Uniform({16, 8}, -1.0f, 1.0f, &rng);
-
-  // Dense LHS: the density probe routes to the plain dense kernel.
-  Tensor dense_lhs = Tensor::Uniform({8, 16}, -1.0f, 1.0f, &rng);
-  ASSERT_LT(SampledZeroFraction(dense_lhs), tune::SkipZeroLhsMinZeroFraction());
-  Tensor expect = MatMul(dense_lhs, b);
-  Tensor got = MatMulSkipZeroLhs(dense_lhs, b);
-  for (int64_t i = 0; i < expect.numel(); ++i) {
-    ASSERT_EQ(got.Data()[i], expect.Data()[i]) << "dense branch, elt " << i;
-  }
-
-  // One-hot-ish sparse LHS: the skip loop runs, and skipping zero terms
-  // must be bitwise identical to accumulating them (adding +0 is a no-op).
-  Tensor sparse_lhs = Tensor::Zeros({8, 16});
-  for (int64_t r = 0; r < 8; ++r) sparse_lhs.At(r, (r * 3) % 16) = 1.5f;
-  ASSERT_GE(SampledZeroFraction(sparse_lhs), tune::SkipZeroLhsMinZeroFraction());
-  expect = MatMul(sparse_lhs, b);
-  got = MatMulSkipZeroLhs(sparse_lhs, b);
-  for (int64_t i = 0; i < expect.numel(); ++i) {
-    ASSERT_EQ(got.Data()[i], expect.Data()[i]) << "skip branch, elt " << i;
-  }
 }
 
 TEST(TensorTest, TransposeRoundTrip) {

@@ -9,8 +9,9 @@
 //       smoke can diff them bit for bit. --pipeline D > 1 splits the
 //       links into D chunks sent down one connection with up to D
 //       requests in flight (protocol v3 index_offset keeps every
-//       triple's Rng stream, so the concatenated output is still
-//       bit-identical to the golden print).
+//       triple's item seed, and a score depends only on the triple and
+//       the graph, so the concatenated output is still bit-identical to
+//       the golden print).
 //
 //   dekg_serve_client <port> ingest-emerging <dir> [--chunk N] [--host H]
 //       Stream the dataset's emerging triples to the server in file
