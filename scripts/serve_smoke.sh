@@ -13,7 +13,9 @@
 #   5. the sharded variant of stage 4: 3 shard engines (--shards 3) and a
 #      pipelined client (--pipeline 4), pre-ingest scores differing from
 #      the golden and post-ingest scores matching it bit for bit — the
-#      consistent-hash fan-in and connection pipelining change nothing
+#      consistent-hash fan-in and connection pipelining change nothing.
+#      Each shard caches at most 4 subgraphs (--cache 4), so served
+#      requests evict while ingest maintains the cache
 #
 # Usage: scripts/serve_smoke.sh [build_dir]   (default: build)
 set -e
@@ -90,7 +92,7 @@ SERVER_PID=""
 
 echo "== serve smoke: 3-shard server, pipelined client, live ingestion =="
 "$BUILD/tools/dekg_serve" "$DATA" "$CKPT" --dim 16 --no-emerging --shards 3 \
-  --port-file "$WORK/port3" &
+  --cache 4 --port-file "$WORK/port3" &
 SERVER_PID=$!
 wait_port_file "$WORK/port3"
 PORT="$(cat "$WORK/port3")"

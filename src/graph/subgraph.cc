@@ -439,6 +439,12 @@ bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
     if (it == entities.end() || *it != e) return -1;
     return it - entities.begin();
   };
+  // Every extraction's field holds its own source at distance 0, so this
+  // catches a caller that hands over the other endpoint's field.
+  const int64_t ls = local(source);
+  DEKG_CHECK(ls >= 0 && (*dist)[static_cast<size_t>(ls)] == 0)
+      << "RelaxDistancesAfterEdgeInsert: source " << source
+      << " is not at distance 0 in the field";
   // Worklist of nodes whose outgoing relaxations may shorten a neighbor:
   // the new edges' endpoints that already carry a finite field distance
   // below the radius. Nodes improved during propagation re-enter the list,

@@ -254,7 +254,8 @@ TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace);
 // In-place decrease-only re-relaxation of one blocked-BFS distance field
 // after new edges were appended to `g` (which must already contain them).
 // `entities` is the ascending touched set of the original extraction and
-// *dist the field being patched (aligned with `entities`). New edges can
+// *dist the field being patched (aligned with `entities`); `source` must
+// sit in `entities` at distance 0 in that field (checked). New edges can
 // only shorten distances, so the fixpoint is reached by label-correcting
 // relaxation seeded from the new edges' endpoints; propagation walks
 // g.IncidentEdges, so improvements that chain through several new edges

@@ -112,7 +112,7 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     // Phase 2 (parallel): extract the misses into batch-local storage.
     // Extraction is RNG-free and reads only the const snapshot graph;
     // the sparse touched-set labels are captured from each workspace —
-    // they feed the invalidation index and the ingest-patch
+    // they feed the touched-entity index and the ingest-patch
     // re-relaxation.
     miss_subs.resize(miss.size());
     miss_labels.resize(miss.size());
@@ -155,10 +155,9 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
   for (size_t m = 0; m < miss.size(); ++m) {
     const Triple& t = miss[m];
     cache_.Insert(t, std::move(miss_subs[m]), &evicted);
-    for (const Triple& key : evicted) DropLabels(key);
+    for (const Triple& key : evicted) index_.Remove(key);
     evicted.clear();
-    for (EntityId e : miss_labels[m].entities) entity_index_[e].insert(t);
-    labels_.emplace(t, std::move(miss_labels[m]));
+    index_.Add(t, std::move(miss_labels[m]));
   }
   return scores;
 }
@@ -193,15 +192,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 
   // Maintain exactly the cached extractions a new edge can affect: those
   // whose touched set contains an endpoint of a combined-batch triple.
-  std::vector<Triple> affected;
-  TripleSet seen;
-  for (EntityId e : touched) {
-    auto it = entity_index_.find(e);
-    if (it == entity_index_.end()) continue;
-    for (const Triple& key : it->second) {
-      if (seen.insert(key).second) affected.push_back(key);
-    }
-  }
+  const std::vector<Triple> affected = index_.Affected(touched);
 
   const core::Gsm* gsm = model_->gsm();
   if (!config_.patch_cache || gsm == nullptr) {
@@ -222,7 +213,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   const SubgraphConfig sc = gsm->subgraph_config();
   uint64_t removed = 0;
   for (const Triple& key : affected) {
-    TouchedLabels& labels = labels_.find(key)->second;
+    TouchedLabels& labels = *index_.Find(key);
     bool head_changed = false;
     bool tail_changed = false;
     const bool patchable =
@@ -239,7 +230,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
       ++removed;
       continue;
     }
-    // The touched union set is unchanged, so entity_index_ stays valid;
+    // The touched union set is unchanged, so index_'s postings stay valid;
     // the rebuild goes through the same assembly path fresh extraction
     // uses, so the swapped payload is bit-identical to ExtractSubgraph
     // on the snapshot graph.
@@ -259,19 +250,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 
 void InferenceEngine::RemoveCached(const Triple& key) {
   cache_.Erase(key);
-  DropLabels(key);
-}
-
-void InferenceEngine::DropLabels(const Triple& key) {
-  auto it = labels_.find(key);
-  if (it == labels_.end()) return;
-  for (EntityId e : it->second.entities) {
-    auto idx = entity_index_.find(e);
-    if (idx == entity_index_.end()) continue;
-    idx->second.erase(key);
-    if (idx->second.empty()) entity_index_.erase(idx);
-  }
-  labels_.erase(it);
+  index_.Remove(key);
 }
 
 EngineStats InferenceEngine::Stats() const {

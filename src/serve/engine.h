@@ -1,10 +1,11 @@
 // Inference engine of the online scoring server (DESIGN.md §9, §14): one
 // shard of a serve::Router.
 //
-// Owns a shard's subgraph cache with its invalidation index and borrows
-// the frozen DEKG-ILP model and the router's shared SnapshotWriter, which
-// it never ingests into. It reads graph + CLRM rows from epoch-tagged
-// immutable snapshots (serve/snapshot.h): at the start of every
+// Owns a shard's subgraph cache with its touched-entity index
+// (serve/touched_index.h) and borrows the frozen DEKG-ILP model and the
+// router's shared SnapshotWriter, which it never ingests into. It reads
+// graph + CLRM rows from epoch-tagged immutable snapshots
+// (serve/snapshot.h): at the start of every
 // ScoreBatch it loads the current snapshot and, if epochs advanced since
 // it last looked, takes the edges appended since the edge count it caught
 // up to as one combined batch and runs the cache maintenance against it.
@@ -45,13 +46,14 @@
 #include "serve/live_graph.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
+#include "serve/touched_index.h"
 
 namespace dekg::serve {
 
 struct EngineConfig {
   // Maximum resident cached subgraphs per shard (0 = unlimited), evicted
   // FIFO by the SubgraphCache, which reports each evicted key so the
-  // engine cleans the invalidation index.
+  // engine removes it from the touched-entity index.
   int64_t cache_capacity = 4096;
   LiveGraphConfig live_graph;
   // Packed-batch grouping handed to core::ScoreInference. Bitwise
@@ -171,11 +173,8 @@ class InferenceEngine {
   std::vector<double> ScoreBatchAgainstSnapshot(
       const GraphSnapshot& snap, const std::vector<ScoreItem>& items);
 
-  // Removes one cached key and its invalidation-index entries.
+  // Removes one cached key and its touched-entity index entry.
   void RemoveCached(const Triple& key);
-  // Drops a key's labels and invalidation-index entries (the cache entry
-  // itself is already gone or about to go).
-  void DropLabels(const Triple& key);
 
   core::DekgIlpModel* model_;
   EngineConfig config_;
@@ -194,11 +193,11 @@ class InferenceEngine {
   int64_t caught_up_edges_ = 0;
 
   // Subgraph cache (FIFO at config_.cache_capacity) plus the maintenance
-  // bookkeeping: labels_ holds each resident key's sparse labels (what
-  // ingest-patching re-relaxes), entity_index_ inverts the touched sets.
+  // bookkeeping: index_ holds each resident key's sparse labels (what
+  // ingest-patching re-relaxes) and, inverted, the keys each entity's
+  // new edges can affect. Both hold exactly the same keys.
   SubgraphCache cache_;
-  std::unordered_map<Triple, TouchedLabels, TripleHash> labels_;
-  std::unordered_map<EntityId, TripleSet> entity_index_;
+  TouchedIndex index_;
 
   // Reusable stamped workspace for the single-writer ingest-patch path's
   // label rebuilds (CatchUpCache only; never shared with the read path).

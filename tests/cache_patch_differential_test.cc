@@ -97,7 +97,9 @@ void RunChurnSchedule(uint64_t schedule_seed, int32_t num_steps,
   core::DekgIlpPredictor predictor(&model);
 
   EngineConfig patch_config;
-  patch_config.cache_capacity = 64;  // small: evictions interleave too
+  // Small enough that every schedule evicts, so slot reuse in the
+  // touched-entity index interleaves with ingest maintenance.
+  patch_config.cache_capacity = 8;
   EngineConfig invalidate_config = patch_config;
   invalidate_config.patch_cache = false;
   Router patch_engine(&model, dataset.original_graph(), OneShard(patch_config));
@@ -233,6 +235,7 @@ void RunChurnSchedule(uint64_t schedule_seed, int32_t num_steps,
   EXPECT_EQ(patch_stats.graph_triples, invalidate_stats.graph_triples);
   EXPECT_EQ(patch_stats.graph_entities, invalidate_stats.graph_entities);
   EXPECT_EQ(patch_stats.ingested_triples, invalidate_stats.ingested_triples);
+  EXPECT_GT(patch_stats.cache_evictions, 0u) << "schedule " << schedule_seed;
   outcome->patched = patch_stats.cache_patched;
   outcome->repaired = patch_stats.cache_repaired;
   outcome->fallback = patch_stats.cache_fallback;
