@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j --target bench_train bench_gsm_batch bench_simd \
-  bench_extract bench_churn bench_shard bench_quant
+  bench_extract bench_churn bench_quant
 
 # Small dataset, explicit thread count: the point is the bitwise
 # serial-vs-parallel comparison, not throughput.
@@ -49,29 +49,12 @@ DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
 DEKG_BENCH_EXTRACT_MAX_N="${DEKG_BENCH_EXTRACT_MAX_N:-100000}" \
   ./bench_extract
 
-# DEKG-churn serving sweep: patch-mode and invalidate-mode engines step
-# identical ingest+score schedules; every score round is gated on bitwise
-# identity between the two and against the static-graph oracle. Latency
-# percentiles and hit/patch/fallback rates are reported, not gated. The
-# publish sweep times SnapshotWriter::Ingest on E = 2V random graphs and
-# hard-gates flatness in V (batch 64: largest V within 2x of 1e4); the
-# smoke run trims it to 1e5 entities, the full 1e6 point runs when
-# DEKG_BENCH_CHURN_MAX_V is raised.
-DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
-DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
-DEKG_BENCH_CHURN_ROUNDS="${DEKG_BENCH_CHURN_ROUNDS:-48}" \
+# Snapshot-publication sweep: times SnapshotWriter::Ingest on E = 2V
+# random graphs and hard-gates flatness in V (batch 64: largest V within
+# 2x of 1e4). The smoke run trims it to 1e5 entities; the full 1e6 point
+# runs when DEKG_BENCH_CHURN_MAX_V is raised.
 DEKG_BENCH_CHURN_MAX_V="${DEKG_BENCH_CHURN_MAX_V:-100000}" \
   ./bench_churn
-
-# Sharded-serving sweep over real TCP: shard count x pipeline depth x
-# ingest churn, every point gated on the whole workload being bit-identical
-# to the offline predictor (pre- and post-churn oracles). Closed-loop
-# throughput and the speedup over 1-shard ping-pong are reported, not
-# gated here.
-DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
-DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
-DEKG_BENCH_SHARD_ITERS="${DEKG_BENCH_SHARD_ITERS:-512}" \
-  ./bench_shard
 
 # Quantized-serving sweep: one engine per storage precision. Hard gates
 # (exit 1): the fp32 engine bit-identical to the offline predictor, int8
@@ -81,4 +64,4 @@ DEKG_BENCH_SHARD_ITERS="${DEKG_BENCH_SHARD_ITERS:-512}" \
 DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
 DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
   ./bench_quant
-echo "Bench smoke passed (BENCH_train.json, BENCH_gsm_batch.json, BENCH_simd.json, BENCH_extract.json, BENCH_churn.json, BENCH_shard.json, BENCH_quant.json in build-release/bench/)."
+echo "Bench smoke passed (BENCH_train.json, BENCH_gsm_batch.json, BENCH_simd.json, BENCH_extract.json, BENCH_churn.json, BENCH_quant.json in build-release/bench/)."

@@ -14,11 +14,12 @@
 #   4. bench smoke                   (Release build; training determinism
 #                                     and cache contracts, via bench_train,
 #                                     the SIMD kernel bitwise gates via
-#                                     bench_simd, the churn-maintenance
-#                                     patch-vs-invalidate bitwise gates via
-#                                     bench_churn, and the sharded-serving
-#                                     sweep's offline-oracle gates via
-#                                     bench_shard)
+#                                     bench_simd, extraction bitwise and
+#                                     scaling gates via bench_extract,
+#                                     snapshot publication flat in graph
+#                                     size via bench_churn, and the
+#                                     quantized-footprint gates via
+#                                     bench_quant)
 #   5. sanitizer sweeps              (TSan + ASan/UBSan on the parallel,
 #                                     checkpoint, and serving subsystems,
 #                                     plus the O0-vs-O3 kernel fingerprint

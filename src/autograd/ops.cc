@@ -588,8 +588,6 @@ Var RowSquaredDistance(const Var& a, const Var& b) {
   return SumRows(Square(Sub(a, b)));
 }
 
-Var HingeSum(const Var& x) { return SumAll(Relu(x)); }
-
 Var BceWithLogits(const Var& logits, const Tensor& targets) {
   DEKG_CHECK(logits.value().SameShape(targets));
   // loss = mean( max(x,0) - x*t + log(1 + exp(-|x|)) ), the numerically

@@ -97,8 +97,6 @@ Var Conv2d(const Var& input, const Var& kernel);
 // ----- Losses / compound ops -----
 // Row-wise squared Euclidean distance between [m, n] matrices -> [m].
 Var RowSquaredDistance(const Var& a, const Var& b);
-// max(0, x) applied then summed: convenience for hinge losses.
-Var HingeSum(const Var& x);
 // Binary cross entropy with logits: mean over all elements.
 // targets is a constant tensor of 0/1 with the same shape as logits.
 Var BceWithLogits(const Var& logits, const Tensor& targets);

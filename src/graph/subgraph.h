@@ -171,8 +171,8 @@ SubgraphWorkspace* GetThreadLocalSubgraphWorkspace();
 
 // Process-wide extraction accounting (relaxed atomics; totals are
 // deterministic because each extraction's contribution is). Surfaced in
-// the bench JSON trails (bench_extract, bench_train, bench_churn) so
-// extraction-cost regressions are visible.
+// the bench JSON trails (bench_extract, bench_train) so extraction-cost
+// regressions are visible.
 struct ExtractionCounters {
   uint64_t extractions = 0;     // sparse extractions performed
   uint64_t bfs_popped = 0;      // nodes popped across both BFS passes

@@ -1,7 +1,6 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/rng.h"
@@ -128,12 +127,6 @@ void MicroBatcher::SchedulerLoop() {
         int64_t total =
             static_cast<int64_t>(first.score.triples.size());
         batch.push_back(std::move(first));
-        if (!config_.deterministic && config_.batch_wait_us > 0 &&
-            total < config_.max_batch_triples && queue_.empty() &&
-            !draining_) {
-          cv_.wait_for(lock,
-                       std::chrono::microseconds(config_.batch_wait_us));
-        }
         while (!queue_.empty() && queue_.front().kind == Work::Kind::kScore) {
           const int64_t next =
               static_cast<int64_t>(queue_.front().score.triples.size());

@@ -15,11 +15,9 @@
 // here as MixSeed(request.seed, request.index_offset +
 // index_within_request), so a logical request a pipelined client split
 // into chunks (each carrying its logical offset) keys the memo exactly as
-// the unsplit request does. In deterministic mode
-// the packing itself is also a pure function of the admission order
-// (no timers), so the batch-size histogram and cache hit pattern are
-// reproducible given a reproducible request order; throughput mode may
-// additionally wait batch_wait_us for the queue to fill.
+// the unsplit request does. The scheduler never waits for the queue to
+// fill: it seals a batch as soon as no further queued scoring request
+// fits, so batching adds no timer latency.
 #ifndef DEKG_SERVE_BATCHER_H_
 #define DEKG_SERVE_BATCHER_H_
 
@@ -41,11 +39,6 @@ struct BatcherConfig {
   // Micro-batch cap in triples. A single larger request still runs
   // (alone); the cap only stops further packing.
   int64_t max_batch_triples = 256;
-  // Deterministic mode: batch boundaries depend only on admission order.
-  bool deterministic = true;
-  // Throughput mode only: wait this long for more work before sealing a
-  // batch that has room. Ignored when deterministic.
-  int64_t batch_wait_us = 0;
 };
 
 class MicroBatcher {

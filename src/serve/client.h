@@ -4,9 +4,8 @@
 // request/response; SendScore/ReceiveScore expose the v3 pipelined
 // form (several requests on the wire before the first response is
 // read), and ScorePipelined drives a whole windowed exchange. Used by
-// the dekg_serve_client CLI, the serve tests, and the benches.
-// Thread-safety: none — use one Client per thread (the closed-loop
-// benchmarks do exactly that).
+// the dekg_serve_client CLI, the serve tests, and perfbench's load
+// generator. Thread-safety: none — use one Client per thread.
 #ifndef DEKG_SERVE_CLIENT_H_
 #define DEKG_SERVE_CLIENT_H_
 

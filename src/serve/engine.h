@@ -61,9 +61,10 @@ struct EngineConfig {
   core::GsmBatchOptions gsm_batch;
   // In-place maintenance of affected cached subgraphs on ingest (patch /
   // repair, with fallback invalidation only on membership change). False
-  // restores PR-4 invalidate-on-ingest — under sustained DEKG churn that
-  // degenerates into a miss storm where re-extraction dominates scoring
-  // latency (bench_churn measures the gap). Scores are bit-identical
+  // invalidates every affected entry instead: the reference policy that
+  // cache_patch_differential_test steps beside the patching engine. Under
+  // sustained DEKG churn it degenerates into a miss storm where
+  // re-extraction dominates scoring latency. Scores are bit-identical
   // either way.
   bool patch_cache = true;
   // Score memo: finished scores keyed by (triple, item seed), valid for

@@ -306,22 +306,6 @@ bool DecodeStatsResponse(const std::vector<uint8_t>& payload,
 
 namespace {
 
-// Reads exactly `size` bytes. Returns 1 on success, 0 on clean EOF before
-// the first byte, -1 on error / truncated stream.
-int ReadExact(int fd, uint8_t* buf, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, buf + done, size - done);
-    if (n == 0) return done == 0 ? 0 : -1;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return 1;
-}
-
 bool WriteAll(int fd, const uint8_t* buf, size_t size) {
   size_t done = 0;
   while (done < size) {
@@ -342,30 +326,6 @@ bool WriteAll(int fd, const uint8_t* buf, size_t size) {
 }
 
 }  // namespace
-
-bool ReadFrame(int fd, Frame* frame, std::string* error) {
-  uint8_t header[kFrameHeaderBytes];
-  const int header_status = ReadExact(fd, header, sizeof(header));
-  if (header_status == 0) {
-    if (error != nullptr) error->clear();  // clean EOF
-    return false;
-  }
-  if (header_status < 0) {
-    if (error != nullptr) *error = "truncated frame header";
-    return false;
-  }
-  uint64_t payload_size = 0;
-  if (!DecodeFrameHeader(header, &frame->type, &payload_size, error)) {
-    return false;
-  }
-  frame->payload.assign(static_cast<size_t>(payload_size), 0);
-  if (payload_size > 0 &&
-      ReadExact(fd, frame->payload.data(), frame->payload.size()) != 1) {
-    if (error != nullptr) *error = "truncated frame payload";
-    return false;
-  }
-  return true;
-}
 
 bool WriteFrame(int fd, MessageType type, const std::vector<uint8_t>& payload,
                 std::string* error) {

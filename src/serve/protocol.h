@@ -212,10 +212,6 @@ bool DecodeStatsResponse(const std::vector<uint8_t>& payload,
 
 // ----- Blocking socket I/O (EINTR-safe, handles short reads/writes) -----
 
-// Reads one frame from `fd`. Returns false on EOF, I/O error, or a
-// malformed header (the error string distinguishes clean EOF: empty).
-bool ReadFrame(int fd, Frame* frame, std::string* error);
-
 // Writes one frame to `fd`. Returns false on I/O error.
 bool WriteFrame(int fd, MessageType type, const std::vector<uint8_t>& payload,
                 std::string* error);
@@ -228,10 +224,11 @@ void AppendFrame(std::vector<uint8_t>* wire, MessageType type,
 bool WriteWire(int fd, const std::vector<uint8_t>& wire, std::string* error);
 
 // Buffered frame reads: large read() calls into an internal buffer, so
-// one syscall can deliver many pipelined frames. Semantics match
-// ReadFrame exactly — false with an empty error string on clean EOF at
-// a frame boundary, "truncated frame header/payload" on a mid-frame
-// EOF or I/O error, and the DecodeFrameHeader errors on a bad header.
+// one syscall can deliver many pipelined frames. ReadFrame returns true
+// with one whole frame. It returns false with an empty error string on
+// clean EOF at a frame boundary; with "truncated frame header" or
+// "truncated frame payload" on EOF or an I/O error inside a frame; and
+// with the DecodeFrameHeader error on a bad header.
 class FrameReader {
  public:
   explicit FrameReader(int fd = -1) : fd_(fd) {}

@@ -1,10 +1,10 @@
-// Acceptance criterion of the serving subsystem (DESIGN.md §9): in
-// deterministic mode the server's scores and ranks are bit-identical to
-// offline Evaluate at any thread count and any micro-batch size. Covered
-// at three levels — engine vs offline predictor, micro-batch composition
-// invariance, and the full in-process TCP stack (server + client) —
-// plus the EvalConfig::subgraph_cache read-only handle the serve layer
-// shares with the offline evaluator.
+// Acceptance criterion of the serving subsystem (DESIGN.md §9): the
+// server's scores and ranks are bit-identical to offline Evaluate at any
+// thread count and any micro-batch size. Covered at three levels — engine
+// vs offline predictor, micro-batch composition invariance, and the full
+// in-process TCP stack (server + client) — plus the
+// EvalConfig::subgraph_cache read-only handle the serve layer shares with
+// the offline evaluator.
 #include <gtest/gtest.h>
 
 #include <dirent.h>

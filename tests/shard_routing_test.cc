@@ -2,9 +2,10 @@
 // function of (entity id, shard count) pinned down to exact hash bits;
 // consistent-hash growth moves keys only to the new shard; the router's
 // index-ordered fan-in is bit-identical to the single-engine (and
-// offline) path at every shard count × pipeline depth; and
-// epoch-snapshot ingest never blocks a concurrently scoring reader,
-// which converges to the static BuildGraph oracle at every epoch.
+// offline) path at every shard count × pipeline depth, also while a
+// second connection ingests; and epoch-snapshot ingest never blocks a
+// concurrently scoring reader, which converges to the static BuildGraph
+// oracle at every epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,13 +190,44 @@ TEST(ShardRoutingTest, PipelinedTcpScoresMatchGoldenAtEveryShardCountAndDepth) {
   // The full stack — sharded router, batcher, server pipelining, client
   // windowing — at shard counts {1, 2, 3, 8} × pipeline depths
   // {1, 4, 16}, always bit-identical to the single-request single-shard
-  // golden scores; ingest then converges every configuration to the
-  // post-ingest golden.
+  // golden scores. Then a second connection ingests the emerging triples
+  // in chunks while the first keeps scoring at depth 16: every mid-churn
+  // score is some epoch's offline score, epochs never go back along the
+  // sweep, and every configuration converges to the post-ingest golden.
   DekgDataset dataset = SyntheticDataset();
   core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
                            /*seed=*/3);
   std::vector<Triple> triples = TestTriples(dataset, 24);
   ASSERT_GE(triples.size(), 16u);
+
+  // The ingest chunks, and each triple's offline score at every epoch
+  // they step through: epoch e serves BuildGraph over the base triples
+  // plus the first e chunks.
+  constexpr size_t kChunks = 8;
+  const std::vector<Triple>& emerging = dataset.emerging_triples();
+  ASSERT_GE(emerging.size(), kChunks);
+  std::vector<std::vector<Triple>> chunks;
+  for (size_t c = 0; c < kChunks; ++c) {
+    chunks.emplace_back(
+        emerging.begin() + static_cast<int64_t>(c * emerging.size() / kChunks),
+        emerging.begin() +
+            static_cast<int64_t>((c + 1) * emerging.size() / kChunks));
+  }
+  std::vector<std::vector<double>> offline_at_epoch;
+  {
+    core::DekgIlpPredictor predictor(&model);
+    std::vector<Triple> prefix = dataset.original_graph().Triples();
+    for (size_t e = 0; e <= kChunks; ++e) {
+      if (e > 0) {
+        prefix.insert(prefix.end(), chunks[e - 1].begin(),
+                      chunks[e - 1].end());
+      }
+      const KnowledgeGraph oracle =
+          BuildGraph(dataset.inference_graph().num_entities(),
+                     dataset.num_relations(), prefix);
+      offline_at_epoch.push_back(predictor.ScoreTriples(oracle, triples));
+    }
+  }
 
   // Golden references: the standalone engine pre- and post-ingest.
   std::vector<double> golden_before;
@@ -261,16 +293,77 @@ TEST(ShardRoutingTest, PipelinedTcpScoresMatchGoldenAtEveryShardCountAndDepth) {
       EXPECT_EQ(misses, stats.cache_misses);
       EXPECT_EQ(stats.epoch, 0u);
 
-      // Ingest the emerging structure, then the same pipelined sweep
-      // must produce the post-ingest golden bits.
-      IngestRequest ingest;
-      ingest.request_id = 77;
-      ingest.triples = dataset.emerging_triples();
-      IngestResponse ingested;
-      ASSERT_TRUE(client.Ingest(ingest, &ingested, &error)) << error;
-      ASSERT_EQ(ingested.status, Status::kOk) << ingested.error;
-      EXPECT_EQ(ingested.request_id, 77u);
+      // Churn: a second connection sends the chunks while this one
+      // repeats depth-16 sweeps until the writer has finished, so the
+      // sweeps span the whole ingest window. The writer only records
+      // what happened; it is checked after the join.
+      std::atomic<bool> writer_done{false};
+      std::vector<IngestResponse> ingested(kChunks);
+      size_t chunks_sent = 0;
+      std::string writer_error;
+      std::thread writer([&] {
+        Client ingest_client;
+        if (ingest_client.Connect("127.0.0.1", server.port(),
+                                  &writer_error)) {
+          for (; chunks_sent < kChunks; ++chunks_sent) {
+            IngestRequest ingest;
+            ingest.request_id = 77 + chunks_sent;
+            ingest.triples = chunks[chunks_sent];
+            if (!ingest_client.Ingest(ingest, &ingested[chunks_sent],
+                                      &writer_error)) {
+              break;
+            }
+          }
+        }
+        writer_done.store(true, std::memory_order_release);
+      });
+      // Greedy epoch tracking: each response takes the smallest epoch at
+      // or after the previous response's whose offline score it equals,
+      // which finds a non-decreasing assignment whenever one exists.
+      size_t epoch = 0;
+      bool churn_ok = true;
+      bool writer_finished = false;
+      do {
+        writer_finished = writer_done.load(std::memory_order_acquire);
+        std::vector<ScoreResponse> responses;
+        if (!client.ScorePipelined(requests, 16, &responses, &error)) {
+          ADD_FAILURE() << "shards " << shards << " mid-churn: " << error;
+          churn_ok = false;
+          break;
+        }
+        for (size_t i = 0; i < responses.size(); ++i) {
+          if (responses[i].status != Status::kOk ||
+              responses[i].scores.size() != 1) {
+            ADD_FAILURE() << "shards " << shards << " mid-churn triple " << i
+                          << ": " << responses[i].error;
+            churn_ok = false;
+            break;
+          }
+          size_t e = epoch;
+          while (e <= kChunks &&
+                 responses[i].scores[0] != offline_at_epoch[e][i]) {
+            ++e;
+          }
+          if (e > kChunks) {
+            ADD_FAILURE() << "shards " << shards << " mid-churn triple " << i
+                          << " matches no offline score at epoch >= "
+                          << epoch;
+            churn_ok = false;
+            break;
+          }
+          epoch = e;
+        }
+      } while (churn_ok && !writer_finished);
+      writer.join();
+      ASSERT_TRUE(churn_ok);
+      ASSERT_EQ(chunks_sent, kChunks) << writer_error;
+      for (size_t c = 0; c < kChunks; ++c) {
+        ASSERT_EQ(ingested[c].status, Status::kOk) << ingested[c].error;
+        EXPECT_EQ(ingested[c].request_id, 77 + c);
+      }
 
+      // With both connections done, the pipelined sweep must produce the
+      // post-ingest golden bits.
       std::vector<ScoreResponse> responses;
       ASSERT_TRUE(client.ScorePipelined(requests, 4, &responses, &error))
           << error;
@@ -281,7 +374,7 @@ TEST(ShardRoutingTest, PipelinedTcpScoresMatchGoldenAtEveryShardCountAndDepth) {
       }
 
       ASSERT_TRUE(client.Stats(&stats, &error)) << error;
-      EXPECT_EQ(stats.epoch, 1u);
+      EXPECT_EQ(stats.epoch, kChunks);
     }
     server.RequestStop();
     server.Wait();

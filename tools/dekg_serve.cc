@@ -7,19 +7,15 @@
 //   dekg_serve <dir> <checkpoint> [--dim D] [--host H] [--port P]
 //              [--port-file PATH] [--threads T] [--shards N] [--batch N]
 //              [--cache N] [--max-entities N] [--no-emerging]
-//              [--no-patch-cache] [--throughput-wait-us U]
 //       Serve. --port 0 (default) binds an ephemeral port; the bound port
 //       is printed and, with --port-file, written there for scripts.
 //       --shards N partitions the entity space over N shard engines
 //       (consistent-hash routing, DESIGN.md §14; scores are bit-identical
 //       at any shard count). --no-emerging starts from the train graph
 //       only (emerging triples arrive via the client's ingest-emerging
-//       mode). --no-patch-cache disables in-place cache maintenance on
-//       ingest (DESIGN.md §13) in favor of plain invalidation. By default
-//       the batcher runs in deterministic mode; --throughput-wait-us U >
-//       0 switches to throughput mode with that batch-fill wait.
+//       mode).
 //
-//   dekg_serve <dir> <checkpoint> --print-golden N [--dim D] [--seed S]
+//   dekg_serve <dir> <checkpoint> --print-golden N [--dim D]
 //       No server: print the offline scores of the first N test links
 //       (DekgIlpPredictor over the static inference graph) one per line
 //       at full %.17g precision. The CI smoke diffs the served scores
@@ -109,8 +105,7 @@ int main(int argc, char** argv) {
         " [--port-file PATH]\n"
         "                  [--threads T] [--shards N] [--batch N] [--cache N]"
         " [--max-entities N]\n"
-        "                  [--no-emerging] [--no-patch-cache]"
-        " [--throughput-wait-us U] [--print-golden N]\n"
+        "                  [--no-emerging] [--print-golden N]\n"
         "                  [--precision fp32|fp16|int8]\n");
     return 2;
   }
@@ -151,9 +146,6 @@ int main(int argc, char** argv) {
   engine_config.cache_capacity = Int32Flag(argc, argv, "--cache", 4096);
   engine_config.live_graph.max_entities =
       Int32Flag(argc, argv, "--max-entities", 1 << 20);
-  // --no-patch-cache restores PR 4's invalidate-on-ingest maintenance
-  // (bit-identical scores either way — see cache_patch_differential_test).
-  engine_config.patch_cache = !HasFlag(argc, argv, "--no-patch-cache");
   // --precision fp16/int8 serves the frozen model quantized (DESIGN.md
   // §15): smaller footprint, epsilon-accurate scores. fp32 (default)
   // keeps the bit-exact determinism contract.
@@ -167,11 +159,6 @@ int main(int argc, char** argv) {
 
   serve::BatcherConfig batcher_config;
   batcher_config.max_batch_triples = Int32Flag(argc, argv, "--batch", 256);
-  const int32_t wait_us = Int32Flag(argc, argv, "--throughput-wait-us", 0);
-  if (wait_us > 0) {
-    batcher_config.deterministic = false;
-    batcher_config.batch_wait_us = wait_us;
-  }
   serve::MicroBatcher batcher(&router, batcher_config);
 
   serve::ServerConfig server_config;
@@ -203,10 +190,8 @@ int main(int argc, char** argv) {
   });
 
   std::printf(
-      "serving %s on %s:%u (%s mode, %d shard%s, batch %lld, cache %lld, "
-      "%s)\n",
+      "serving %s on %s:%u (%d shard%s, batch %lld, cache %lld, %s)\n",
       dir.c_str(), server_config.host.c_str(), server.port(),
-      batcher_config.deterministic ? "deterministic" : "throughput",
       router_config.num_shards, router_config.num_shards == 1 ? "" : "s",
       static_cast<long long>(batcher_config.max_batch_triples),
       static_cast<long long>(engine_config.cache_capacity),
