@@ -334,14 +334,6 @@ int main() {
         ref_m.push_back(Tensor::Zeros(pr.var.value().shape()));
         ref_v.push_back(Tensor::Zeros(pr.var.value().shape()));
       }
-      nn::StepSparsity sparsity;
-      for (const nn::Parameter& pr : mod.parameters()) {
-        nn::StepSparsity::ParamPlan plan;
-        if (pr.var.value().rank() == 2) {
-          plan.mode = nn::StepSparsity::Mode::kAutoRows;
-        }
-        sparsity.plans.push_back(std::move(plan));
-      }
       bool identical = true;
       for (int64_t step = 1; step <= 3; ++step) {
         mod.ZeroGrad();
@@ -356,7 +348,7 @@ int main() {
                        ref_m[i].Data(), ref_v[i].Data(), ref_w[i].numel(),
                        b1, b2, eps, 0.0f, lr_t);
         }
-        adam.Step(sparsity);
+        adam.SparseStep();
         for (size_t i = 0; i < mod.parameters().size(); ++i) {
           identical =
               identical && BitEqual(mod.parameters()[i].var.value(), ref_w[i]);
@@ -459,14 +451,6 @@ int main() {
       nn::Adam::Options opt;
       opt.lr = 0.001;
       nn::Adam adam(&gsm, opt);
-      nn::StepSparsity sparsity;
-      for (const nn::Parameter& pr : gsm.parameters()) {
-        nn::StepSparsity::ParamPlan plan;
-        if (pr.var.value().rank() == 2) {
-          plan.mode = nn::StepSparsity::Mode::kAutoRows;
-        }
-        sparsity.plans.push_back(std::move(plan));
-      }
       std::vector<Triple> triples;
       for (const LabeledLink& link : dataset.test_links()) {
         triples.push_back(link.triple);
@@ -485,7 +469,7 @@ int main() {
         ag::Var loss = ag::Relu(ag::AddScalar(ag::Sub(neg, pos), 1.0f));
         loss.Backward();
         nn::ClipGradNorm(&gsm, 5.0);
-        adam.Step(sparsity);
+        adam.SparseStep();
       }
       *seconds = timer.ElapsedSeconds();
       return gsm.StateVector();

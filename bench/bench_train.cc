@@ -173,12 +173,6 @@ SparseReport BenchSparseAdam() {
   nn::Embedding sparse_table(kRows, kDim, &rng_b);
   nn::Adam dense_opt(&dense_table, {.lr = 0.01});
   nn::Adam sparse_opt(&sparse_table, {.lr = 0.01});
-  nn::StepSparsity sparsity;
-  {
-    nn::StepSparsity::ParamPlan plan;
-    plan.mode = nn::StepSparsity::Mode::kAutoRows;
-    sparsity.plans.push_back(plan);
-  }
 
   Rng index_rng(37);
   std::vector<std::vector<int64_t>> batches;
@@ -208,7 +202,7 @@ SparseReport BenchSparseAdam() {
   Timer sparse_timer;
   for (const auto& rows : batches) {
     backward(&sparse_table, rows);
-    sparse_opt.Step(sparsity);
+    sparse_opt.SparseStep();
   }
   report.sparse_step_s = sparse_timer.ElapsedSeconds() / kSteps;
   report.identical =

@@ -10,7 +10,6 @@
 #include "baselines/neural_lp.h"
 #include "baselines/rulen.h"
 #include "baselines/tact.h"
-#include "baselines/graph_trainer.h"
 #include "common/timer.h"
 #include "core/dekg_ilp.h"
 #include "core/trainer.h"
@@ -264,18 +263,22 @@ ModelRun RunModel(ModelKind kind, const DekgDataset& dataset,
       baselines::NeuralLpConfig nlp;
       nlp.num_relations = dataset.num_relations();
       baselines::NeuralLp model(nlp, config.seed ^ 0x9b);
-      baselines::GraphTrainConfig train;
+      core::TrainConfig train;
       train.epochs = config.subgraph_epochs;
       train.max_triples_per_epoch = config.subgraph_triples_per_epoch;
       train.lr = 0.1;  // attention logits train well with a larger step
       train.seed = config.seed ^ 0x9c;
       epochs_run = train.epochs;
       train_timer.Restart();
-      baselines::TrainGraphModel(
-          &model,
-          [&model](const KnowledgeGraph& g, const Triple& t, bool,
-                   Rng*) { return model.ScoreLink(g, t); },
-          dataset, train);
+      const KnowledgeGraph& graph = dataset.original_graph();
+      core::Trainer(&model, &dataset, train,
+                    core::MarginLoss(&dataset, train.negatives_per_positive,
+                                     [&](const Triple& t, const Subgraph*,
+                                         Rng*) {
+                                       return model.ScoreLink(graph, t);
+                                     }),
+                    nullptr, model.Name())
+          .Train();
       run.train_seconds_per_epoch = train_timer.ElapsedSeconds() / epochs_run;
       run.parameter_count = model.ParameterCount();
       TimedEval eval = EvaluateModel(&model, dataset, config, measure_time);
@@ -300,17 +303,22 @@ ModelRun RunModel(ModelKind kind, const DekgDataset& dataset,
       tact.num_relations = dataset.num_relations();
       tact.dim = config.dim;
       baselines::Tact model(tact, config.seed ^ 0x55);
-      baselines::GraphTrainConfig train;
+      core::TrainConfig train;
       train.epochs = config.subgraph_epochs;
       train.max_triples_per_epoch = config.subgraph_triples_per_epoch;
       train.seed = config.seed ^ 0x66;
       epochs_run = train.epochs;
       train_timer.Restart();
-      baselines::TrainGraphModel(
-          &model,
-          [&model](const KnowledgeGraph& g, const Triple& t, bool training,
-                   Rng* rng) { return model.ScoreLink(g, t, training, rng); },
-          dataset, train);
+      const KnowledgeGraph& graph = dataset.original_graph();
+      core::Trainer(&model, &dataset, train,
+                    core::MarginLoss(&dataset, train.negatives_per_positive,
+                                     [&](const Triple& t, const Subgraph*,
+                                         Rng* rng) {
+                                       return model.ScoreLink(
+                                           graph, t, /*training=*/true, rng);
+                                     }),
+                    nullptr, model.Name())
+          .Train();
       run.train_seconds_per_epoch = train_timer.ElapsedSeconds() / epochs_run;
       run.parameter_count = model.ParameterCount();
       TimedEval eval = EvaluateModel(&model, dataset, config, measure_time);

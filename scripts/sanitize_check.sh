@@ -3,8 +3,10 @@
 #
 #   thread            (-DDEKG_SANITIZE=thread)            data races in the
 #                     thread pool, parallel evaluator, tensor kernels, the
-#                     checkpoint format/resume paths, and the serving stack
-#                     (connection threads + scheduler + engine)
+#                     checkpoint format/resume paths, the shared training
+#                     loop (DEKG-ILP, TACT and Neural LP on the pool), and
+#                     the serving stack (connection threads + scheduler +
+#                     engine)
 #   address,undefined (-DDEKG_SANITIZE=address,undefined) memory and UB bugs
 #                     in the same set plus the fork-heavy dataset-I/O fuzz
 #                     and checkpoint death tests (fork/abort tests are kept
@@ -31,7 +33,8 @@ COMMON_TESTS="thread_pool_test parallel_eval_determinism_test evaluator_test \
   serve_protocol_test live_graph_test touched_index_test \
   serve_determinism_test shard_routing_test snapshot_versioning_test \
   cache_patch_differential_test subgraph_sparse_property_test \
-  gsm_batch_test simd_kernel_contract_test quant_test quant_gate_test"
+  gsm_batch_test simd_kernel_contract_test quant_test quant_gate_test \
+  baselines_test neural_lp_test"
 # Death-test / fork-based suites: address,undefined sweep only.
 FORKY_TESTS="checkpoint_test dataset_io_fuzz_test"
 

@@ -1,6 +1,6 @@
 #include "baselines/gen.h"
 
-#include <algorithm>
+#include "core/trainer.h"
 
 namespace dekg::baselines {
 
@@ -98,62 +98,29 @@ std::vector<double> Gen::ScoreTriples(const KnowledgeGraph& inference_graph,
 
 std::vector<double> TrainGen(Gen* model, const DekgDataset& dataset,
                              const KgeTrainConfig& config) {
-  Rng rng(config.seed);
-  nn::Adam::Options opt;
-  opt.lr = config.lr;
-  nn::Adam optimizer(model, opt);
   const KnowledgeGraph& graph = dataset.original_graph();
-  const int32_t n_original = dataset.num_original_entities();
-
-  std::vector<double> losses;
-  std::vector<Triple> triples = dataset.train_triples();
-  for (int32_t epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(&triples);
-    double epoch_loss = 0.0;
-    int64_t count = 0;
-    for (size_t begin = 0; begin < triples.size();
-         begin += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          triples.size(), begin + static_cast<size_t>(config.batch_size));
-      std::vector<Triple> positives(triples.begin() + static_cast<ptrdiff_t>(begin),
-                                    triples.begin() + static_cast<ptrdiff_t>(end));
-      // Meta-learning simulation: mask one endpoint of each positive with
-      // probability 0.5 — those entities are embedded via aggregation.
-      std::vector<bool> masked(
-          static_cast<size_t>(dataset.num_total_entities()), false);
-      std::vector<Triple> negatives;
-      for (const Triple& p : positives) {
-        if (rng.Bernoulli(0.5)) {
-          masked[static_cast<size_t>(rng.Bernoulli(0.5) ? p.head : p.tail)] =
-              true;
+  return TrainKgeBatches(
+      model, dataset, config,
+      [&](const std::vector<Triple>& positives, Rng* rng) {
+        // Meta-learning simulation: mask one endpoint of each positive
+        // with probability 0.5 — those entities are embedded via
+        // aggregation.
+        std::vector<bool> masked(
+            static_cast<size_t>(dataset.num_total_entities()), false);
+        std::vector<Triple> negatives;
+        negatives.reserve(positives.size());
+        for (const Triple& p : positives) {
+          if (rng->Bernoulli(0.5)) {
+            masked[static_cast<size_t>(rng->Bernoulli(0.5) ? p.head
+                                                           : p.tail)] = true;
+          }
+          negatives.push_back(core::SampleNegativeTriple(dataset, p, rng));
         }
-        Triple corrupted = p;
-        EntityId candidate = static_cast<EntityId>(
-            rng.UniformUint64(static_cast<uint64_t>(n_original)));
-        if (rng.Bernoulli(0.5)) {
-          corrupted.head = candidate;
-        } else {
-          corrupted.tail = candidate;
-        }
-        negatives.push_back(corrupted);
-      }
-      model->ZeroGrad();
-      ag::Var pos = model->ScoreBatchWithGraph(graph, positives, masked);
-      ag::Var neg = model->ScoreBatchWithGraph(graph, negatives, masked);
-      ag::Var loss = ag::SumAll(ag::Relu(ag::AddScalar(
-          ag::Sub(neg, pos), static_cast<float>(config.margin))));
-      epoch_loss += static_cast<double>(loss.value().Data()[0]);
-      count += static_cast<int64_t>(positives.size());
-      loss.Backward();
-      nn::ClipGradNorm(model, 5.0);
-      optimizer.Step();
-    }
-    losses.push_back(count > 0 ? epoch_loss / static_cast<double>(count) : 0.0);
-    if (config.verbose) {
-      DEKG_INFO() << "GEN epoch " << epoch + 1 << " loss " << losses.back();
-    }
-  }
-  return losses;
+        ag::Var pos = model->ScoreBatchWithGraph(graph, positives, masked);
+        ag::Var neg = model->ScoreBatchWithGraph(graph, negatives, masked);
+        return ag::SumAll(ag::Relu(ag::AddScalar(
+            ag::Sub(neg, pos), static_cast<float>(config.margin))));
+      });
 }
 
 }  // namespace dekg::baselines

@@ -55,9 +55,9 @@ class Gen : public KgeModel {
   EntityId emerging_end_ = -1;
 };
 
-// GEN-specific trainer: every step masks the head or tail of each positive
-// with probability 0.5 to simulate out-of-graph entities (the
-// meta-learning simulation).
+// GEN-specific trainer on the shared batched KGE loop (TrainKgeBatches):
+// every step masks the head or tail of each positive with probability 0.5
+// to simulate out-of-graph entities (the meta-learning simulation).
 std::vector<double> TrainGen(Gen* model, const DekgDataset& dataset,
                              const KgeTrainConfig& config);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/trainer.h"
 #include "nn/train_checkpoint.h"
 
 namespace dekg::baselines {
@@ -26,125 +27,75 @@ std::vector<double> KgeModel::ScoreTriples(
   return out;
 }
 
+std::vector<double> TrainKgeBatches(KgeModel* model,
+                                    const DekgDataset& dataset,
+                                    const KgeTrainConfig& config,
+                                    const KgeBatchLoss& batch_loss) {
+  Rng rng(config.seed);
+  nn::Adam optimizer(model, {.lr = config.lr});
+  nn::TrainLoopState loop;
+  const size_t batch_size = static_cast<size_t>(config.batch_size);
+  return nn::RunEpochLoop(
+      config, model->Name(), model, &optimizer, &rng, &loop, [&] {
+        std::vector<Triple> triples = dataset.train_triples();
+        rng.Shuffle(&triples);
+        double epoch_loss = 0.0;
+        for (size_t begin = 0; begin < triples.size(); begin += batch_size) {
+          const size_t end = std::min(triples.size(), begin + batch_size);
+          const std::vector<Triple> positives(
+              triples.begin() + static_cast<ptrdiff_t>(begin),
+              triples.begin() + static_cast<ptrdiff_t>(end));
+          model->ZeroGrad();
+          ag::Var loss = batch_loss(positives, &rng);
+          epoch_loss += static_cast<double>(loss.value().Data()[0]);
+          loss.Backward();
+          nn::ClipGradNorm(model, 5.0);
+          optimizer.SparseStep();
+          model->PostOptimizerStep();
+        }
+        return triples.empty()
+                   ? 0.0
+                   : epoch_loss / static_cast<double>(triples.size());
+      });
+}
+
 std::vector<double> TrainKgeModel(KgeModel* model, const DekgDataset& dataset,
                                   const KgeTrainConfig& config) {
-  Rng rng(config.seed);
-  nn::Adam::Options opt;
-  opt.lr = config.lr;
-  nn::Adam optimizer(model, opt);
-  // Row-sparse fused steps for the entity/relation embedding tables:
-  // kAutoRows is bitwise-identical to a dense step (DESIGN.md §8), so
-  // KGE training trajectories are unchanged while each step only walks
-  // the rows the batch touched (plus decaying hot rows).
-  nn::StepSparsity sparsity;
-  for (const nn::Parameter& p : model->parameters()) {
-    nn::StepSparsity::ParamPlan plan;
-    if (p.var.value().rank() == 2) {
-      plan.mode = nn::StepSparsity::Mode::kAutoRows;
-    }
-    sparsity.plans.push_back(std::move(plan));
-  }
-  const int32_t n_original = dataset.num_original_entities();
-
-  auto sample_negative = [&](const Triple& positive) {
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      Triple corrupted = positive;
-      EntityId candidate = static_cast<EntityId>(
-          rng.UniformUint64(static_cast<uint64_t>(n_original)));
-      if (rng.Bernoulli(0.5)) {
-        corrupted.head = candidate;
-      } else {
-        corrupted.tail = candidate;
-      }
-      if (corrupted.head == corrupted.tail || corrupted == positive) continue;
-      if (dataset.original_graph().Contains(corrupted)) continue;
-      return corrupted;
-    }
-    return positive;
-  };
-
-  nn::TrainLoopState loop;
-  if (!config.checkpoint_path.empty()) {
-    nn::LoadTrainState(config.checkpoint_path, model, &optimizer, &rng, &loop);
-  }
-  const std::vector<Triple>& base_triples = dataset.train_triples();
-  for (int32_t epoch = static_cast<int32_t>(loop.epochs_completed);
-       epoch < config.epochs; ++epoch) {
-    std::vector<Triple> triples = base_triples;
-    rng.Shuffle(&triples);
-    double epoch_loss = 0.0;
-    int64_t count = 0;
-    for (size_t begin = 0; begin < triples.size();
-         begin += static_cast<size_t>(config.batch_size)) {
-      const size_t end = std::min(
-          triples.size(), begin + static_cast<size_t>(config.batch_size));
-      std::vector<Triple> positives(triples.begin() + static_cast<ptrdiff_t>(begin),
-                                    triples.begin() + static_cast<ptrdiff_t>(end));
-      std::vector<Triple> negatives;
-      negatives.reserve(positives.size() *
-                        static_cast<size_t>(config.negatives_per_positive));
-      for (const Triple& p : positives) {
-        for (int32_t k = 0; k < config.negatives_per_positive; ++k) {
-          negatives.push_back(sample_negative(p));
-        }
-      }
-      model->ZeroGrad();
-      ag::Var pos_scores = model->ScoreBatch(positives);  // [B]
-      ag::Var neg_scores = model->ScoreBatch(negatives);  // [B * K]
-      // With K negatives per positive, tile positives to align.
-      ag::Var pos_aligned = pos_scores;
-      if (config.negatives_per_positive > 1) {
-        std::vector<Triple> tiled;
-        tiled.reserve(negatives.size());
+  const int32_t k = config.negatives_per_positive;
+  return TrainKgeBatches(
+      model, dataset, config,
+      [&](const std::vector<Triple>& positives, Rng* rng) {
+        std::vector<Triple> negatives;
+        negatives.reserve(positives.size() * static_cast<size_t>(k));
         for (const Triple& p : positives) {
-          for (int32_t k = 0; k < config.negatives_per_positive; ++k) {
-            tiled.push_back(p);
+          for (int32_t j = 0; j < k; ++j) {
+            negatives.push_back(core::SampleNegativeTriple(dataset, p, rng));
           }
         }
-        pos_aligned = model->ScoreBatch(tiled);
-      }
-      ag::Var hinges = ag::Relu(ag::AddScalar(
-          ag::Sub(neg_scores, pos_aligned), static_cast<float>(config.margin)));
-      ag::Var loss;
-      if (config.self_adversarial && config.negatives_per_positive > 1) {
+        ag::Var pos_scores = model->ScoreBatch(positives);  // [B]
+        ag::Var neg_scores = model->ScoreBatch(negatives);  // [B * K]
+        // With K negatives per positive, tile positives to align.
+        ag::Var pos_aligned = pos_scores;
+        if (k > 1) {
+          std::vector<Triple> tiled;
+          tiled.reserve(negatives.size());
+          for (const Triple& p : positives) {
+            tiled.insert(tiled.end(), static_cast<size_t>(k), p);
+          }
+          pos_aligned = model->ScoreBatch(tiled);
+        }
+        ag::Var hinges =
+            ag::Relu(ag::AddScalar(ag::Sub(neg_scores, pos_aligned),
+                                   static_cast<float>(config.margin)));
+        if (!config.self_adversarial || k <= 1) return ag::SumAll(hinges);
         // Weight each negative by softmax(alpha * score) within its
         // K-group; the weights are detached constants as in RotatE.
-        const int64_t k = config.negatives_per_positive;
-        const int64_t groups =
-            neg_scores.value().numel() / std::max<int64_t>(k, 1);
+        const int64_t groups = neg_scores.value().numel() / k;
         Tensor grouped = neg_scores.value().Reshape(Shape{groups, k}).Clone();
         grouped.ScaleInPlace(static_cast<float>(config.adversarial_alpha));
         Tensor weights = SoftmaxRows(grouped).Reshape(Shape{groups * k});
-        loss = ag::SumAll(ag::Mul(hinges, ag::Var::Constant(weights)));
-      } else {
-        loss = ag::SumAll(hinges);
-      }
-      epoch_loss += static_cast<double>(loss.value().Data()[0]);
-      count += static_cast<int64_t>(positives.size());
-      loss.Backward();
-      nn::ClipGradNorm(model, 5.0);
-      optimizer.Step(sparsity);
-      model->PostOptimizerStep();
-    }
-    const double mean_loss =
-        count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
-    loop.epoch_losses.push_back(mean_loss);
-    loop.epochs_completed = epoch + 1;
-    if (config.verbose) {
-      DEKG_INFO() << model->Name() << " epoch " << epoch + 1 << " loss "
-                  << mean_loss;
-    }
-    if (!config.checkpoint_path.empty() && config.checkpoint_every > 0 &&
-        ((epoch + 1) % config.checkpoint_every == 0 ||
-         epoch + 1 == config.epochs)) {
-      if (!nn::SaveTrainState(config.checkpoint_path, *model, optimizer, rng,
-                              loop)) {
-        DEKG_WARN() << "checkpoint save failed at epoch " << epoch + 1 << ": "
-                    << config.checkpoint_path;
-      }
-    }
-  }
-  return loop.epoch_losses;
+        return ag::SumAll(ag::Mul(hinges, ag::Var::Constant(weights)));
+      });
 }
 
 }  // namespace dekg::baselines

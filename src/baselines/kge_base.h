@@ -8,6 +8,7 @@
 #ifndef DEKG_BASELINES_KGE_BASE_H_
 #define DEKG_BASELINES_KGE_BASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,12 +83,27 @@ struct KgeTrainConfig {
   int32_t checkpoint_every = 1;
 };
 
-// Margin-ranking training on the original KG only. Negative corruption
-// draws replacement entities from the original entity range, so emerging
-// rows are untouched (their gradient is never populated). Returns
-// per-epoch mean losses (including epochs recovered from a checkpoint
-// when resuming); each epoch shuffles a fresh copy of the train triples
-// so resume is bit-identical.
+// One batch's summed loss on one tape. `rng` is the trainer's stream; the
+// batch draws its negatives (and any other randomness) from it.
+using KgeBatchLoss = std::function<ag::Var(const std::vector<Triple>& positives,
+                                           Rng* rng)>;
+
+// The batched epoch loop of the entity-embedding trainers. Each epoch
+// shuffles a fresh copy of the train triples, so an epoch depends only on
+// the RNG stream position; per batch of config.batch_size positives it
+// backpropagates `batch_loss`, clips the gradient norm to 5, takes a
+// row-sparse Adam step and calls PostOptimizerStep. Epochs run through
+// nn::RunEpochLoop, so checkpointing and resume work as in core::Trainer.
+// Returns per-epoch mean losses per positive.
+std::vector<double> TrainKgeBatches(KgeModel* model,
+                                    const DekgDataset& dataset,
+                                    const KgeTrainConfig& config,
+                                    const KgeBatchLoss& batch_loss);
+
+// Margin-ranking training on the original KG only. Negatives come from
+// core::SampleNegativeTriple, which draws replacement entities from the
+// original entity range, so emerging rows are untouched (their gradient
+// is never populated).
 std::vector<double> TrainKgeModel(KgeModel* model, const DekgDataset& dataset,
                                   const KgeTrainConfig& config);
 

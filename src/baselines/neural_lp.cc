@@ -4,42 +4,49 @@ namespace dekg::baselines {
 
 namespace {
 
-// Directional edge buckets for one graph: per operator (r forward,
-// r + R inverse), the source and destination node lists.
+// Directional edges of one operator (r forward, r + R inverse).
 struct OperatorEdges {
   std::vector<int64_t> src;
   std::vector<int64_t> dst;
 };
 
-struct GraphOperators {
-  const KnowledgeGraph* graph = nullptr;
+// The graph's edge array, or null when it has no edges (then any two
+// graphs' buckets are equally empty).
+const Edge* EdgeArray(const KnowledgeGraph& graph) {
+  return graph.num_triples() > 0 ? &graph.edge(0) : nullptr;
+}
+
+}  // namespace
+
+struct NeuralLp::Operators {
   std::vector<OperatorEdges> ops;  // size 2R
 };
 
-// Rebuilds the operator buckets when the graph changes. Thread-compatible
-// (not thread-safe), like the rest of the library.
-const GraphOperators& OperatorsFor(const KnowledgeGraph& graph,
-                                   int32_t num_relations,
-                                   GraphOperators* cache) {
-  if (cache->graph == &graph &&
-      cache->ops.size() == static_cast<size_t>(2 * num_relations)) {
-    return *cache;
+std::shared_ptr<const NeuralLp::Operators> NeuralLp::OperatorsFor(
+    const KnowledgeGraph& graph) {
+  std::lock_guard<std::mutex> lock(operators_mu_);
+  if (operators_graph_.has_value() &&
+      operators_graph_->num_triples() == graph.num_triples() &&
+      EdgeArray(*operators_graph_) == EdgeArray(graph)) {
+    return operators_;
   }
-  cache->graph = &graph;
-  cache->ops.assign(static_cast<size_t>(2 * num_relations), OperatorEdges{});
+  const int32_t num_relations = config_.num_relations;
+  auto built = std::make_shared<Operators>();
+  built->ops.resize(static_cast<size_t>(2 * num_relations));
   for (int64_t id = 0; id < graph.num_triples(); ++id) {
     const Edge& e = graph.edge(id);
-    cache->ops[static_cast<size_t>(e.rel)].src.push_back(e.src);
-    cache->ops[static_cast<size_t>(e.rel)].dst.push_back(e.dst);
-    cache->ops[static_cast<size_t>(e.rel + num_relations)].src.push_back(e.dst);
-    cache->ops[static_cast<size_t>(e.rel + num_relations)].dst.push_back(e.src);
+    OperatorEdges& forward = built->ops[static_cast<size_t>(e.rel)];
+    forward.src.push_back(e.src);
+    forward.dst.push_back(e.dst);
+    OperatorEdges& inverse =
+        built->ops[static_cast<size_t>(e.rel + num_relations)];
+    inverse.src.push_back(e.dst);
+    inverse.dst.push_back(e.src);
   }
-  return *cache;
+  operators_graph_.emplace(graph);
+  operators_ = std::move(built);
+  return operators_;
 }
-
-GraphOperators g_cache;  // single-threaded scoring cache
-
-}  // namespace
 
 NeuralLp::NeuralLp(const NeuralLpConfig& config, uint64_t seed)
     : config_(config) {
@@ -59,8 +66,7 @@ NeuralLp::NeuralLp(const NeuralLpConfig& config, uint64_t seed)
 ag::Var NeuralLp::ScoreLink(const KnowledgeGraph& graph, const Triple& triple) {
   const int32_t r2 = 2 * config_.num_relations;
   const int64_t ops_per_step = r2 + 1;
-  const GraphOperators& operators =
-      OperatorsFor(graph, config_.num_relations, &g_cache);
+  const std::shared_ptr<const Operators> operators = OperatorsFor(graph);
   const int64_t n = graph.num_entities();
 
   // Per-channel, per-step attention over operators, conditioned on the
@@ -76,23 +82,26 @@ ag::Var NeuralLp::ScoreLink(const KnowledgeGraph& graph, const Triple& triple) {
   // Exclude the query triple itself (both directions) from propagation, or
   // the model would learn the degenerate rule q => q from training
   // positives that are present as edges.
-  const bool target_present = graph.Contains(triple);
-  auto filtered = [&](int32_t op) {
-    OperatorEdges out = operators.ops[static_cast<size_t>(op)];
-    if (!target_present ||
-        (op != triple.rel && op != triple.rel + config_.num_relations)) {
-      return out;
+  std::vector<const OperatorEdges*> buckets(static_cast<size_t>(r2));
+  for (int32_t op = 0; op < r2; ++op) {
+    buckets[static_cast<size_t>(op)] =
+        &operators->ops[static_cast<size_t>(op)];
+  }
+  OperatorEdges kept[2];  // the query's forward and inverse operators
+  if (graph.Contains(triple)) {
+    for (int32_t d = 0; d < 2; ++d) {
+      const int32_t op = triple.rel + d * config_.num_relations;
+      const int64_t from = d == 0 ? triple.head : triple.tail;
+      const int64_t to = d == 0 ? triple.tail : triple.head;
+      const OperatorEdges& all = *buckets[static_cast<size_t>(op)];
+      for (size_t i = 0; i < all.src.size(); ++i) {
+        if (all.src[i] == from && all.dst[i] == to) continue;
+        kept[d].src.push_back(all.src[i]);
+        kept[d].dst.push_back(all.dst[i]);
+      }
+      buckets[static_cast<size_t>(op)] = &kept[d];
     }
-    const int64_t from = op == triple.rel ? triple.head : triple.tail;
-    const int64_t to = op == triple.rel ? triple.tail : triple.head;
-    OperatorEdges kept;
-    for (size_t i = 0; i < out.src.size(); ++i) {
-      if (out.src[i] == from && out.dst[i] == to) continue;
-      kept.src.push_back(out.src[i]);
-      kept.dst.push_back(out.dst[i]);
-    }
-    return kept;
-  };
+  }
 
   // Forward chaining from the head entity, once per rule channel; channel
   // masses sum (DRUM). A single channel is exactly Neural LP.
@@ -104,7 +113,7 @@ ag::Var NeuralLp::ScoreLink(const KnowledgeGraph& graph, const Triple& triple) {
       ag::Var step_att = ag::SliceRows(attention, row, row + 1);  // [1, ops]
       ag::Var next;
       for (int32_t op = 0; op < r2; ++op) {
-        const OperatorEdges edges = filtered(op);
+        const OperatorEdges& edges = *buckets[static_cast<size_t>(op)];
         if (edges.src.empty()) continue;
         // a_{channel, step, op} as a scalar Var via a selector column.
         Tensor selector = Tensor::Zeros(Shape{ops_per_step, 1});

@@ -23,6 +23,9 @@
 #ifndef DEKG_BASELINES_NEURAL_LP_H_
 #define DEKG_BASELINES_NEURAL_LP_H_
 
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +51,8 @@ class NeuralLp : public nn::Module, public LinkPredictor {
   NeuralLp(const NeuralLpConfig& config, uint64_t seed);
 
   // Differentiable score of (h, q, t) against `graph`: the soft path mass
-  // x_T[t]. log(1 + mass) keeps magnitudes trainable.
+  // x_T[t]. log(1 + mass) keeps magnitudes trainable. Safe to call from
+  // several threads at once (the trainer's parallel example loop does).
   ag::Var ScoreLink(const KnowledgeGraph& graph, const Triple& triple);
 
   // ----- LinkPredictor -----
@@ -60,12 +64,24 @@ class NeuralLp : public nn::Module, public LinkPredictor {
   const NeuralLpConfig& config() const { return config_; }
 
  private:
+  struct Operators;  // per-operator edge buckets of one graph (.cc)
+
+  // The operator buckets of `graph`, rebuilt only when it differs from the
+  // last graph scored. The key is the graph's edge array and edge count:
+  // views with both equal hold the same edges, and the held copy of the
+  // last view keeps its edge array alive, so no other graph can reuse
+  // that address while it is the key.
+  std::shared_ptr<const Operators> OperatorsFor(const KnowledgeGraph& graph);
+
   // Attention logits: [R_query, C * T * (2R + 1)] — per query relation,
   // per rule channel, per step, a distribution over 2R directional
   // operators plus an identity ("stay") operator that admits shorter
   // paths.
   NeuralLpConfig config_;
   ag::Var attention_logits_;
+  std::mutex operators_mu_;
+  std::optional<KnowledgeGraph> operators_graph_;  // guarded by the mutex
+  std::shared_ptr<const Operators> operators_;     // guarded by the mutex
 };
 
 }  // namespace dekg::baselines

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 
 namespace dekg::core {
 
@@ -76,31 +75,42 @@ Triple SampleNegativeTriple(const DekgDataset& dataset,
   return corrupted;
 }
 
-DekgIlpTrainer::DekgIlpTrainer(DekgIlpModel* model, const DekgDataset* dataset,
-                               const TrainConfig& config)
-    : model_(model),
+ExampleLoss MarginLoss(const DekgDataset* dataset, int32_t negatives,
+                       TrainingScore score, float margin) {
+  return [dataset, negatives, score = std::move(score), margin](
+             const Triple& positive, const Subgraph* subgraph, Rng* rng) {
+    ag::Var pos_score = score(positive, subgraph, rng);
+    ag::Var loss;
+    for (int32_t k = 0; k < negatives; ++k) {
+      const Triple negative = SampleNegativeTriple(*dataset, positive, rng);
+      ag::Var neg_score = score(negative, /*subgraph=*/nullptr, rng);
+      // L_s = [gamma - phi(pos) + phi(neg)]_+  (Eq. 14).
+      ag::Var hinge =
+          ag::Relu(ag::AddScalar(ag::Sub(neg_score, pos_score), margin));
+      loss = loss.defined() ? ag::Add(loss, hinge) : hinge;
+    }
+    return loss;
+  };
+}
+
+Trainer::Trainer(nn::Module* module, const DekgDataset* dataset,
+                 const TrainConfig& config, ExampleLoss loss, const Gsm* gsm,
+                 std::string name)
+    : module_(module),
       dataset_(dataset),
       config_(config),
+      loss_(std::move(loss)),
+      gsm_(gsm),
+      name_(std::move(name)),
       rng_(config.seed),
+      optimizer_(module, nn::Adam::Options{.lr = config.lr}),
       cache_(config.subgraph_cache_capacity) {
-  nn::Adam::Options opt;
-  opt.lr = config_.lr;
-  optimizer_ = std::make_unique<nn::Adam>(model_, opt);
   if (config_.num_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
-  if (config_.sparse_optimizer) {
-    for (const nn::Parameter& p : model_->parameters()) {
-      nn::StepSparsity::ParamPlan plan;
-      if (p.var.value().rank() == 2) {
-        plan.mode = nn::StepSparsity::Mode::kAutoRows;
-      }
-      sparsity_.plans.push_back(std::move(plan));
-    }
-  }
 }
 
-void DekgIlpTrainer::ParallelExamples(
+void Trainer::ParallelExamples(
     int64_t n, const std::function<void(int64_t, int64_t)>& fn) {
   if (pool_ != nullptr) {
     pool_->ParallelFor(0, n, /*grain=*/1, fn);
@@ -109,7 +119,7 @@ void DekgIlpTrainer::ParallelExamples(
   }
 }
 
-double DekgIlpTrainer::TrainEpoch() {
+double Trainer::TrainEpoch() {
   const KnowledgeGraph& graph = dataset_->original_graph();
   std::vector<Triple> triples = dataset_->train_triples();
   rng_.Shuffle(&triples);
@@ -131,7 +141,7 @@ double DekgIlpTrainer::TrainEpoch() {
   // resolve a read-only pointer per example; entries the capacity bound
   // evicted mid-prefill are served from the extraction buffer instead.
   cache_.ResetCounters();
-  const bool use_cache = config_.use_subgraph_cache && model_->gsm() != nullptr;
+  const bool use_cache = config_.use_subgraph_cache && gsm_ != nullptr;
   std::vector<const Subgraph*> positive_subgraphs(triples.size(), nullptr);
   std::vector<Subgraph> extracted;  // kept alive for the whole epoch
   std::vector<int64_t> extracted_slot;  // example index -> extracted index
@@ -144,7 +154,7 @@ double DekgIlpTrainer::TrainEpoch() {
         missing.push_back(triples[i]);
       }
     }
-    extracted = model_->gsm()->ExtractBatch(graph, missing, pool_.get());
+    extracted = gsm_->ExtractBatch(graph, missing, pool_.get());
     for (size_t i = 0; i < triples.size(); ++i) {
       if (extracted_slot[i] >= 0) {
         cache_.Insert(triples[i],
@@ -167,18 +177,17 @@ double DekgIlpTrainer::TrainEpoch() {
 
   double epoch_loss = 0.0;
   int64_t count = 0;
-  const float margin = static_cast<float>(model_->config().margin);
-  const float sigma = static_cast<float>(model_->config().sigma);
-
   const size_t batch_size = static_cast<size_t>(config_.batch_size);
   std::vector<float> slot_loss(batch_size, 0.0f);
   std::vector<uint8_t> slot_has_loss(batch_size, 0);
-  while (sinks_.size() < batch_size) sinks_.push_back(model_->MakeGradSink());
+  while (sinks_.size() < batch_size) {
+    sinks_.push_back(module_->MakeGradSink());
+  }
 
   for (size_t begin = 0; begin < triples.size(); begin += batch_size) {
     const size_t end = std::min(triples.size(), begin + batch_size);
     const size_t used = end - begin;
-    model_->ZeroGrad();
+    module_->ZeroGrad();
     std::fill(slot_has_loss.begin(), slot_has_loss.end(), 0);
 
     // Each example builds a private tape from its own RNG stream and
@@ -188,33 +197,9 @@ double DekgIlpTrainer::TrainEpoch() {
         static_cast<int64_t>(used), [&](int64_t slot_begin, int64_t slot_end) {
           for (int64_t slot = slot_begin; slot < slot_end; ++slot) {
             const size_t i = begin + static_cast<size_t>(slot);
-            const Triple& positive = triples[i];
             Rng ex_rng(MixSeed(epoch_seed, static_cast<uint64_t>(i)));
-            ag::Var pos_score =
-                model_->ScoreLink(graph, positive, /*training=*/true, &ex_rng,
-                                  positive_subgraphs[i]);
-            ag::Var sample_loss;
-            for (int32_t k = 0; k < config_.negatives_per_positive; ++k) {
-              Triple negative =
-                  SampleNegativeTriple(*dataset_, positive, &ex_rng);
-              ag::Var neg_score = model_->ScoreLink(
-                  graph, negative, /*training=*/true, &ex_rng);
-              // L_s = [gamma - phi(pos) + phi(neg)]_+  (Eq. 14).
-              ag::Var hinge = ag::Relu(
-                  ag::AddScalar(ag::Sub(neg_score, pos_score), margin));
-              sample_loss =
-                  sample_loss.defined() ? ag::Add(sample_loss, hinge) : hinge;
-            }
-            if (model_->config().use_contrastive && sigma > 0.0f) {
-              ag::Var contrastive =
-                  model_->ContrastiveLossForLink(graph, positive, &ex_rng);
-              if (contrastive.defined()) {
-                sample_loss = sample_loss.defined()
-                                  ? ag::Add(sample_loss,
-                                            ag::MulScalar(contrastive, sigma))
-                                  : ag::MulScalar(contrastive, sigma);
-              }
-            }
+            ag::Var sample_loss =
+                loss_(triples[i], positive_subgraphs[i], &ex_rng);
             ag::GradSink& sink = sinks_[static_cast<size_t>(slot)];
             sink.Reset();
             if (!sample_loss.defined()) continue;
@@ -238,12 +223,12 @@ double DekgIlpTrainer::TrainEpoch() {
     if (batch_count == 0) continue;
     epoch_loss += static_cast<double>(batch_sum);
     count += batch_count;
-    model_->AccumulateShardedGrads(sinks_, used);
-    nn::ClipGradNorm(model_, config_.grad_clip);
+    module_->AccumulateShardedGrads(sinks_, used);
+    nn::ClipGradNorm(module_, config_.grad_clip);
     if (config_.sparse_optimizer) {
-      optimizer_->Step(sparsity_);
+      optimizer_.SparseStep();
     } else {
-      optimizer_->Step();
+      optimizer_.Step();
     }
   }
   return count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
@@ -252,26 +237,26 @@ double DekgIlpTrainer::TrainEpoch() {
 double DekgIlpTrainer::TrainWithValidation(const EvalConfig& eval_config,
                                            int32_t eval_every) {
   DEKG_CHECK_GE(eval_every, 1);
-  DEKG_CHECK(!dataset_->valid_links().empty())
+  const DekgDataset& data = dataset();
+  DEKG_CHECK(!data.valid_links().empty())
       << "validation-based selection needs valid links";
   // Evaluate on the validation links by temporarily swapping them in as
   // the test set of a shadow dataset view.
-  DekgDataset valid_view(dataset_->name() + "-valid",
-                         dataset_->num_original_entities(),
-                         dataset_->num_emerging_entities(),
-                         dataset_->num_relations(), dataset_->train_triples(),
-                         dataset_->emerging_triples(), {},
-                         dataset_->valid_links());
+  DekgDataset valid_view(data.name() + "-valid", data.num_original_entities(),
+                         data.num_emerging_entities(), data.num_relations(),
+                         data.train_triples(), data.emerging_triples(), {},
+                         data.valid_links());
   DekgIlpPredictor predictor(model_);
   double best_mrr = -1.0;
   std::vector<float> best_state;
-  for (int32_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  const int32_t epochs = config().epochs;
+  for (int32_t epoch = 0; epoch < epochs; ++epoch) {
     const double loss = TrainEpoch();
-    if (config_.verbose) {
+    if (config().verbose) {
       DEKG_INFO() << model_->config().VariantName() << " epoch " << epoch + 1
                   << " loss " << loss;
     }
-    if ((epoch + 1) % eval_every != 0 && epoch + 1 != config_.epochs) continue;
+    if ((epoch + 1) % eval_every != 0 && epoch + 1 != epochs) continue;
     EvalResult result = Evaluate(&predictor, valid_view, eval_config);
     if (result.overall.mrr > best_mrr) {
       best_mrr = result.overall.mrr;
@@ -282,40 +267,51 @@ double DekgIlpTrainer::TrainWithValidation(const EvalConfig& eval_config,
   return best_mrr;
 }
 
-std::vector<double> DekgIlpTrainer::Train() {
-  if (!config_.checkpoint_path.empty() &&
-      LoadCheckpoint(config_.checkpoint_path) && config_.verbose) {
-    DEKG_INFO() << model_->config().VariantName() << " resumed from "
-                << config_.checkpoint_path << " at epoch "
-                << loop_.epochs_completed;
-  }
-  for (int32_t epoch = static_cast<int32_t>(loop_.epochs_completed);
-       epoch < config_.epochs; ++epoch) {
-    const double loss = TrainEpoch();
-    loop_.epoch_losses.push_back(loss);
-    loop_.epochs_completed = epoch + 1;
-    if (config_.verbose) {
-      DEKG_INFO() << model_->config().VariantName() << " epoch " << epoch + 1
-                  << "/" << config_.epochs << " loss " << loss;
-    }
-    if (!config_.checkpoint_path.empty() && config_.checkpoint_every > 0 &&
-        ((epoch + 1) % config_.checkpoint_every == 0 ||
-         epoch + 1 == config_.epochs)) {
-      if (!SaveCheckpoint(config_.checkpoint_path)) {
-        DEKG_WARN() << "checkpoint save failed at epoch " << epoch + 1
-                    << ": " << config_.checkpoint_path;
-      }
-    }
-  }
-  return loop_.epoch_losses;
+std::vector<double> Trainer::Train() {
+  return nn::RunEpochLoop(config_, name_, module_, &optimizer_, &rng_, &loop_,
+                          [this] { return TrainEpoch(); });
 }
 
-bool DekgIlpTrainer::SaveCheckpoint(const std::string& path) const {
-  return nn::SaveTrainState(path, *model_, *optimizer_, rng_, loop_);
+bool Trainer::SaveCheckpoint(const std::string& path) const {
+  return nn::SaveTrainState(path, *module_, optimizer_, rng_, loop_);
 }
 
-bool DekgIlpTrainer::LoadCheckpoint(const std::string& path) {
-  return nn::LoadTrainState(path, model_, optimizer_.get(), &rng_, &loop_);
+bool Trainer::LoadCheckpoint(const std::string& path) {
+  return nn::LoadTrainState(path, module_, &optimizer_, &rng_, &loop_);
 }
+
+namespace {
+
+// phi on the training graph, Eq. 14 with the model's margin, plus sigma
+// times the contrastive loss when the model trains with it (Eq. 15).
+ExampleLoss DekgIlpLoss(DekgIlpModel* model, const DekgDataset* dataset,
+                        int32_t negatives) {
+  const KnowledgeGraph* graph = &dataset->original_graph();
+  ExampleLoss margin_loss = MarginLoss(
+      dataset, negatives,
+      [model, graph](const Triple& t, const Subgraph* subgraph, Rng* rng) {
+        return model->ScoreLink(*graph, t, /*training=*/true, rng, subgraph);
+      },
+      static_cast<float>(model->config().margin));
+  const float sigma = static_cast<float>(model->config().sigma);
+  if (!model->config().use_contrastive || sigma <= 0.0f) return margin_loss;
+  return [model, graph, sigma, margin_loss = std::move(margin_loss)](
+             const Triple& positive, const Subgraph* subgraph, Rng* rng) {
+    ag::Var loss = margin_loss(positive, subgraph, rng);
+    ag::Var contrastive = model->ContrastiveLossForLink(*graph, positive, rng);
+    if (!contrastive.defined()) return loss;
+    ag::Var weighted = ag::MulScalar(contrastive, sigma);
+    return loss.defined() ? ag::Add(loss, weighted) : weighted;
+  };
+}
+
+}  // namespace
+
+DekgIlpTrainer::DekgIlpTrainer(DekgIlpModel* model, const DekgDataset* dataset,
+                               const TrainConfig& config)
+    : Trainer(model, dataset, config,
+              DekgIlpLoss(model, dataset, config.negatives_per_positive),
+              model->gsm(), model->config().VariantName()),
+      model_(model) {}
 
 }  // namespace dekg::core

@@ -1,20 +1,25 @@
-// Training loop for DEKG-ILP (Algorithm 1): margin ranking loss over
-// positive triples and corrupted negatives (Eq. 14) plus the weighted
-// contrastive loss (Eq. 15), optimized with Adam.
+// The one training loop (Algorithm 1): margin ranking loss over positive
+// triples and corrupted negatives (Eq. 14), optimized with Adam. Trainer
+// runs it for any nn::Module given a per-example loss; DekgIlpTrainer adds
+// DEKG-ILP's weighted contrastive loss (Eq. 15), and TACT and Neural LP
+// train through it on the plain margin hinge (MarginLoss).
 //
 // Training only ever sees the original KG G; the contrastive operations
 // likewise only consider G (Sec. IV-B2).
 //
 // The epoch loop is data-parallel and bit-identical at any thread count
-// (see DESIGN.md §8): every example draws from its own MixSeed RNG stream,
-// workers build private autograd tapes whose leaf gradients land in
-// per-example GradSinks, and sinks are reduced in fixed example order
-// before the optimizer step. Positive-triple subgraphs are extracted once
-// into an epoch-persistent SubgraphCache; the optimizer runs row-sparse
-// hot-row-tracked sparse updates over embedding-style parameters.
+// and across checkpoint resume (see DESIGN.md §8): every example draws
+// from its own MixSeed RNG stream, workers build private autograd tapes
+// whose leaf gradients land in per-example GradSinks, and sinks are
+// reduced in fixed example order before the optimizer step. With a GSM,
+// positive-triple subgraphs are extracted once into an epoch-persistent
+// SubgraphCache; the optimizer runs row-sparse hot-row-tracked updates
+// over embedding-style parameters.
 #ifndef DEKG_CORE_TRAINER_H_
 #define DEKG_CORE_TRAINER_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,10 +73,38 @@ struct TrainConfig {
 Triple SampleNegativeTriple(const DekgDataset& dataset,
                             const Triple& positive, Rng* rng);
 
-class DekgIlpTrainer {
+// One training example's loss, built on the example's private tape from
+// its own RNG stream `rng`. `subgraph` is the positive's cached enclosing
+// subgraph on the training graph, or null (no GSM, or a cache miss). An
+// undefined Var skips the example. Called from several threads at once.
+using ExampleLoss = std::function<ag::Var(
+    const Triple& positive, const Subgraph* subgraph, Rng* rng)>;
+
+// A model's differentiable training score of `triple` on the dataset's
+// original graph; `subgraph` and `rng` as for ExampleLoss.
+using TrainingScore = std::function<ag::Var(
+    const Triple& triple, const Subgraph* subgraph, Rng* rng)>;
+
+// Eq. 14 for one positive: the sum over `negatives` corruptions drawn by
+// SampleNegativeTriple of [margin - score(positive) + score(negative)]_+.
+// The positive is scored first, with its subgraph; then each negative is
+// drawn and scored with a null subgraph.
+ExampleLoss MarginLoss(const DekgDataset* dataset, int32_t negatives,
+                       TrainingScore score, float margin = 1.0f);
+
+// The per-example training loop DEKG-ILP, GraIL, TACT and Neural LP share.
+class Trainer {
  public:
-  DekgIlpTrainer(DekgIlpModel* model, const DekgDataset* dataset,
-                 const TrainConfig& config);
+  // Trains `module` on `loss` over dataset->train_triples(). With a
+  // non-null `gsm`, each epoch prefills the subgraph cache with the
+  // positives' enclosing subgraphs (when config.use_subgraph_cache is
+  // set) and hands them to `loss`. `name` labels verbose logs.
+  Trainer(nn::Module* module, const DekgDataset* dataset,
+          const TrainConfig& config, ExampleLoss loss,
+          const Gsm* gsm = nullptr, std::string name = "model");
+  virtual ~Trainer() = default;
+  Trainer(const Trainer&) = delete;
+  Trainer& operator=(const Trainer&) = delete;
 
   // One pass over (a subsample of) the training triples. Returns the mean
   // per-positive loss. Subgraph-cache hit/miss counters are reset on
@@ -91,6 +124,39 @@ class DekgIlpTrainer {
   bool LoadCheckpoint(const std::string& path);
   int64_t epochs_completed() const { return loop_.epochs_completed; }
 
+  // Cache observability for benchmarks and tests.
+  const SubgraphCache& subgraph_cache() const { return cache_; }
+
+ protected:
+  const TrainConfig& config() const { return config_; }
+  const DekgDataset& dataset() const { return *dataset_; }
+
+ private:
+  // Runs `fn(begin, end)` chunks over [0, n) on the configured pool.
+  void ParallelExamples(int64_t n,
+                        const std::function<void(int64_t, int64_t)>& fn);
+
+  nn::Module* module_;
+  const DekgDataset* dataset_;
+  TrainConfig config_;
+  ExampleLoss loss_;
+  const Gsm* gsm_;
+  std::string name_;
+  Rng rng_;
+  nn::Adam optimizer_;
+  nn::TrainLoopState loop_;
+  std::unique_ptr<ThreadPool> pool_;  // only when config_.num_threads > 0
+  SubgraphCache cache_;
+  std::vector<ag::GradSink> sinks_;  // one per batch example slot, reused
+};
+
+// DEKG-ILP's trainer: the margin loss on phi (Eq. 13) with the model's
+// margin gamma, plus sigma times the contrastive loss (Eq. 15).
+class DekgIlpTrainer : public Trainer {
+ public:
+  DekgIlpTrainer(DekgIlpModel* model, const DekgDataset* dataset,
+                 const TrainConfig& config);
+
   // Trains with validation-based model selection: every `eval_every`
   // epochs the model is scored on dataset->valid_links() (the paper's grid
   // search selects hyperparameters on the validation sets the same way);
@@ -99,24 +165,8 @@ class DekgIlpTrainer {
   double TrainWithValidation(const EvalConfig& eval_config,
                              int32_t eval_every = 2);
 
-  // Cache observability for benchmarks and tests.
-  const SubgraphCache& subgraph_cache() const { return cache_; }
-
  private:
-  // Runs `fn(begin, end)` chunks over [0, n) on the configured pool.
-  void ParallelExamples(int64_t n,
-                        const std::function<void(int64_t, int64_t)>& fn);
-
   DekgIlpModel* model_;
-  const DekgDataset* dataset_;
-  TrainConfig config_;
-  Rng rng_;
-  std::unique_ptr<nn::Adam> optimizer_;
-  nn::TrainLoopState loop_;
-  std::unique_ptr<ThreadPool> pool_;  // only when config_.num_threads > 0
-  SubgraphCache cache_;
-  std::vector<ag::GradSink> sinks_;  // one per batch example slot, reused
-  nn::StepSparsity sparsity_;        // per-parameter plan, built once
 };
 
 }  // namespace dekg::core

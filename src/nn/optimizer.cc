@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "common/checkpoint.h"
 #include "tensor/lanes.h"
@@ -48,8 +49,8 @@ bool ReadMomentTensors(ckpt::ByteReader* reader,
 }
 
 // True when every element of row `row` has the exact +0.0f bit pattern
-// (0x00000000). -0.0f does NOT qualify: a zero-grad Adam/momentum update
-// turns -0 state into +0, so such rows are not bitwise no-ops.
+// (0x00000000). -0.0f does NOT qualify: a zero-grad Adam update turns
+// -0 state into +0, so such rows are not bitwise no-ops.
 bool RowBitsAllPositiveZero(const Tensor& t, int64_t row) {
   const int64_t cols = t.dim(1);
   const float* p = t.Data() + row * cols;
@@ -59,26 +60,12 @@ bool RowBitsAllPositiveZero(const Tensor& t, int64_t row) {
   return true;
 }
 
-// Resolves the touched-row list for a sparse param step. kAutoRows scans
-// the (full-size) gradient: a row participates when any element has a
-// nonzero bit pattern, so an explicit -0.0 gradient still counts as
-// touched. Returns rows in ascending order.
-std::vector<int64_t> TouchedRows(StepSparsity::Mode mode,
-                                 const std::vector<int64_t>& explicit_rows,
-                                 const Tensor& grad) {
+// The rows a sparse step touched: a row participates when any element of
+// its (full-size) gradient has a nonzero bit pattern, so an explicit -0.0
+// gradient still counts as touched. Returns rows in ascending order.
+std::vector<int64_t> TouchedRows(const Tensor& grad) {
   const int64_t rows = grad.dim(0);
   const int64_t cols = grad.dim(1);
-  if (mode == StepSparsity::Mode::kRows) {
-    int64_t prev = -1;
-    for (int64_t r : explicit_rows) {
-      DEKG_CHECK(r > prev && r < rows)
-          << "StepSparsity::kRows rows must be strictly ascending and in "
-          << "range; got " << r << " after " << prev << " (rows=" << rows
-          << ")";
-      prev = r;
-    }
-    return explicit_rows;
-  }
   std::vector<int64_t> touched;
   for (int64_t r = 0; r < rows; ++r) {
     const float* g = grad.Data() + r * cols;
@@ -104,19 +91,17 @@ std::vector<int64_t> UnionRows(const std::vector<int64_t>& a,
   return out;
 }
 
-// Rebuilds a hot-row set by scanning a rank-2 state tensor pair (second
-// may be null): a row is hot when either tensor holds any nonzero bit.
-void RebuildHotRows(const Tensor* s1, const Tensor* s2, int64_t rows,
-                    HotRowState* hot) {
-  hot->rows.clear();
-  for (int64_t r = 0; r < rows; ++r) {
-    const bool zero = (s1 == nullptr || s1->numel() == 0 ||
-                       RowBitsAllPositiveZero(*s1, r)) &&
-                      (s2 == nullptr || s2->numel() == 0 ||
-                       RowBitsAllPositiveZero(*s2, r));
-    if (!zero) hot->rows.push_back(r);
+// The rows among `candidates` where either moment holds any nonzero bit:
+// every other row's zero-gradient dense update is a bitwise no-op.
+std::vector<int64_t> HotRows(const std::vector<int64_t>& candidates,
+                             const Tensor& m, const Tensor& v) {
+  std::vector<int64_t> hot;
+  for (int64_t r : candidates) {
+    if (!RowBitsAllPositiveZero(m, r) || !RowBitsAllPositiveZero(v, r)) {
+      hot.push_back(r);
+    }
   }
-  hot->valid = true;
+  return hot;
 }
 
 // Adam's per-step effective learning rate (bias-corrected).
@@ -137,13 +122,6 @@ float AdamLrT(const Adam::Options& options, int64_t t) {
 // longer each pay their own loop setup. Updates are per-element
 // independent (no cross-element reduction), so fusing and lane-tiling
 // change no bits relative to the historical per-parameter loops.
-struct SgdSpan {
-  float* w;
-  const float* g;
-  float* vel;  // null when momentum is off
-  int64_t n;
-};
-
 struct AdamSpan {
   float* w;
   const float* g;
@@ -165,19 +143,6 @@ void ForEachRowRun(const std::vector<int64_t>& rows, int64_t cols,
     make(rows[s], (rows[e - 1] - rows[s] + 1) * cols);
     s = e;
   }
-}
-
-// Rows whose optimizer state kept nonzero bits after the pass; everything
-// else in `candidates` decayed to exact +0 rows and leaves the hot set.
-void RetainHotRows(const std::vector<int64_t>& candidates, const Tensor* s1,
-                   const Tensor* s2, HotRowState* hot) {
-  hot->rows.clear();
-  for (int64_t r : candidates) {
-    const bool zero = (s1 == nullptr || RowBitsAllPositiveZero(*s1, r)) &&
-                      (s2 == nullptr || RowBitsAllPositiveZero(*s2, r));
-    if (!zero) hot->rows.push_back(r);
-  }
-  hot->valid = true;
 }
 
 }  // namespace
@@ -206,145 +171,6 @@ double ClipGradNorm(Module* module, double max_norm) {
   return norm;
 }
 
-// ----- Sgd -----
-
-Sgd::Sgd(Module* module, Options options)
-    : module_(module), options_(options) {
-  velocity_.resize(module_->parameters().size());
-  hot_.resize(module_->parameters().size());
-}
-
-void Sgd::Step() { StepImpl(nullptr); }
-
-void Sgd::Step(const StepSparsity& sparsity) { StepImpl(&sparsity); }
-
-void Sgd::StepImpl(const StepSparsity* sparsity) {
-  const auto& params = module_->parameters();
-  DEKG_CHECK_EQ(params.size(), velocity_.size());
-  DEKG_CHECK(sparsity == nullptr || sparsity->plans.empty() ||
-             sparsity->plans.size() == params.size())
-      << "StepSparsity plan count does not match parameter count";
-  const bool momentum_on = options_.momentum > 0.0;
-  const float lr = static_cast<float>(options_.lr);
-  const float wd = static_cast<float>(options_.weight_decay);
-  const float mu = static_cast<float>(options_.momentum);
-
-  // Phase 1: resolve each parameter's plan into contiguous spans.
-  std::vector<SgdSpan> spans;
-  struct HotMaintenance {
-    size_t param;
-    std::vector<int64_t> rows;
-  };
-  std::vector<HotMaintenance> maintenance;
-  for (size_t i = 0; i < params.size(); ++i) {
-    const Parameter& p = params[i];
-    if (!p.var.has_grad()) continue;
-    Tensor& value = const_cast<Parameter&>(p).var.mutable_value();
-    const Tensor& grad = p.var.grad();
-    if (momentum_on && velocity_[i].numel() != value.numel()) {
-      velocity_[i] = Tensor::Zeros(value.shape());
-      hot_[i].rows.clear();
-      hot_[i].valid = true;
-    }
-    StepSparsity::Mode mode = StepSparsity::Mode::kDense;
-    if (sparsity != nullptr && !sparsity->plans.empty()) {
-      mode = sparsity->plans[i].mode;
-    }
-    float* w = value.Data();
-    const float* g = grad.Data();
-    float* vel = momentum_on ? velocity_[i].Data() : nullptr;
-    // The skipped-row no-op argument needs zero weight decay and a
-    // non-negative learning rate; anything else runs dense.
-    if (mode != StepSparsity::Mode::kDense && value.rank() == 2 &&
-        options_.weight_decay == 0.0 && options_.lr >= 0.0) {
-      std::vector<int64_t> rows =
-          TouchedRows(mode, sparsity->plans[i].rows, grad);
-      if (momentum_on) {
-        if (!hot_[i].valid) {
-          RebuildHotRows(&velocity_[i], nullptr, value.dim(0), &hot_[i]);
-        }
-        rows = UnionRows(rows, hot_[i].rows);
-      }
-      const int64_t cols = value.dim(1);
-      ForEachRowRun(rows, cols, [&](int64_t r0, int64_t n) {
-        spans.push_back({w + r0 * cols, g + r0 * cols,
-                         vel != nullptr ? vel + r0 * cols : nullptr, n});
-      });
-      if (momentum_on) maintenance.push_back({i, std::move(rows)});
-    } else {
-      spans.push_back({w, g, vel, value.numel()});
-      // A dense pass may light up any row's velocity; recompute lazily.
-      if (momentum_on) hot_[i].valid = false;
-    }
-  }
-
-  // Phase 2: one fused lane-vectorized pass over every span. The update
-  // is per-element independent, so lane blocks only regroup elements.
-  using lanes::kLanes;
-  // Spans never overlap (each is a distinct parameter row range), but the
-  // vectorizer cannot see that through the span struct: __restrict locals
-  // are what let the three-pointer update loop vectorize.
-  if (momentum_on) {
-    for (const SgdSpan& sp : spans) {
-      float* __restrict w = sp.w;
-      const float* __restrict g = sp.g;
-      float* __restrict vel = sp.vel;
-      const int64_t blocked = sp.n - sp.n % kLanes;
-      for (int64_t j0 = 0; j0 < blocked; j0 += kLanes) {
-        for (int64_t l = 0; l < kLanes; ++l) {
-          const int64_t j = j0 + l;
-          const float gj = g[j] + wd * w[j];
-          vel[j] = mu * vel[j] + gj;
-          w[j] -= lr * vel[j];
-        }
-      }
-      for (int64_t j = blocked; j < sp.n; ++j) {
-        const float gj = g[j] + wd * w[j];
-        vel[j] = mu * vel[j] + gj;
-        w[j] -= lr * vel[j];
-      }
-    }
-  } else {
-    for (const SgdSpan& sp : spans) {
-      float* __restrict w = sp.w;
-      const float* __restrict g = sp.g;
-      const int64_t blocked = sp.n - sp.n % kLanes;
-      for (int64_t j0 = 0; j0 < blocked; j0 += kLanes) {
-        for (int64_t l = 0; l < kLanes; ++l) {
-          const int64_t j = j0 + l;
-          w[j] -= lr * (g[j] + wd * w[j]);
-        }
-      }
-      for (int64_t j = blocked; j < sp.n; ++j) {
-        w[j] -= lr * (g[j] + wd * w[j]);
-      }
-    }
-  }
-
-  // Phase 3: re-derive hot rows for the sparse momentum parameters.
-  for (const HotMaintenance& hm : maintenance) {
-    RetainHotRows(hm.rows, &velocity_[hm.param], nullptr, &hot_[hm.param]);
-  }
-}
-
-void Sgd::SerializeState(std::vector<uint8_t>* out) const {
-  ckpt::AppendPod(out, static_cast<uint8_t>('S'));
-  AppendMomentTensors(velocity_, out);
-}
-
-bool Sgd::RestoreState(const std::vector<uint8_t>& payload) {
-  ckpt::ByteReader reader(payload);
-  uint8_t tag = 0;
-  if (!reader.ReadPod(&tag) || tag != 'S') return false;
-  if (!ReadMomentTensors(&reader, module_->parameters(), &velocity_) ||
-      !reader.AtEnd()) {
-    return false;
-  }
-  // Hot rows are derived from the velocity tensors; recompute on demand.
-  hot_.assign(module_->parameters().size(), HotRowState());
-  return true;
-}
-
 // ----- Adam -----
 
 Adam::Adam(Module* module, Options options)
@@ -354,23 +180,20 @@ Adam::Adam(Module* module, Options options)
   hot_.resize(module_->parameters().size());
 }
 
-void Adam::Step() { StepImpl(nullptr); }
+void Adam::Step() { StepImpl(/*sparse=*/false); }
 
-void Adam::Step(const StepSparsity& sparsity) { StepImpl(&sparsity); }
+void Adam::SparseStep() { StepImpl(/*sparse=*/true); }
 
-void Adam::StepImpl(const StepSparsity* sparsity) {
+void Adam::StepImpl(bool sparse) {
   ++t_;
   const auto& params = module_->parameters();
-  DEKG_CHECK(sparsity == nullptr || sparsity->plans.empty() ||
-             sparsity->plans.size() == params.size())
-      << "StepSparsity plan count does not match parameter count";
   const float lr_t = AdamLrT(options_, t_);
   const float b1 = static_cast<float>(options_.beta1);
   const float b2 = static_cast<float>(options_.beta2);
   const float eps = static_cast<float>(options_.eps);
   const float wd = static_cast<float>(options_.weight_decay);
 
-  // Phase 1: resolve each parameter's plan into contiguous spans.
+  // Phase 1: resolve each parameter into contiguous spans.
   std::vector<AdamSpan> spans;
   struct HotMaintenance {
     size_t param;
@@ -388,19 +211,20 @@ void Adam::StepImpl(const StepSparsity* sparsity) {
       hot_[i].rows.clear();
       hot_[i].valid = true;
     }
-    StepSparsity::Mode mode = StepSparsity::Mode::kDense;
-    if (sparsity != nullptr && !sparsity->plans.empty()) {
-      mode = sparsity->plans[i].mode;
-    }
     float* w = value.Data();
     const float* g = grad.Data();
     float* m = m_[i].Data();
     float* v = v_[i].Data();
-    if (mode != StepSparsity::Mode::kDense && value.rank() == 2 &&
-        options_.weight_decay == 0.0 && options_.lr >= 0.0) {
+    // The skipped-row no-op argument needs zero weight decay and a
+    // non-negative learning rate; anything else runs dense.
+    if (sparse && value.rank() == 2 && options_.weight_decay == 0.0 &&
+        options_.lr >= 0.0) {
       HotRowState& hot = hot_[i];
       if (!hot.valid) {
-        RebuildHotRows(&m_[i], &v_[i], value.dim(0), &hot);
+        std::vector<int64_t> all(static_cast<size_t>(value.dim(0)));
+        std::iota(all.begin(), all.end(), int64_t{0});
+        hot.rows = HotRows(all, m_[i], v_[i]);
+        hot.valid = true;
       }
       // Dense Adam moves every row with nonzero moments at every step the
       // parameter has a gradient (the moments decay and the decayed
@@ -409,9 +233,7 @@ void Adam::StepImpl(const StepSparsity* sparsity) {
       // gradient row. The remaining rows have +0 moments and +0
       // gradients: their dense update is a bitwise no-op, so skipping
       // them cannot be observed.
-      std::vector<int64_t> rows =
-          UnionRows(TouchedRows(mode, sparsity->plans[i].rows, grad),
-                    hot.rows);
+      std::vector<int64_t> rows = UnionRows(TouchedRows(grad), hot.rows);
       const int64_t cols = value.dim(1);
       ForEachRowRun(rows, cols, [&](int64_t r0, int64_t n) {
         spans.push_back({w + r0 * cols, g + r0 * cols, m + r0 * cols,
@@ -455,9 +277,11 @@ void Adam::StepImpl(const StepSparsity* sparsity) {
     }
   }
 
-  // Phase 3: re-derive hot rows for the sparse parameters.
+  // Phase 3: re-derive hot rows for the sparse parameters: rows whose
+  // moments decayed to exact +0 leave the set.
   for (const HotMaintenance& hm : maintenance) {
-    RetainHotRows(hm.rows, &m_[hm.param], &v_[hm.param], &hot_[hm.param]);
+    hot_[hm.param].rows = HotRows(hm.rows, m_[hm.param], v_[hm.param]);
+    hot_[hm.param].valid = true;
   }
 }
 

@@ -1,25 +1,23 @@
-// First-order optimizers over a Module's parameter list. The paper tunes
-// learning rate over {0.1, 0.01, 0.001, 0.0005} and uses standard Adam-style
-// training; we provide SGD (with optional momentum and weight decay) and
-// Adam, plus global-norm gradient clipping.
+// Adam over a Module's parameter list, plus global-norm gradient
+// clipping. The paper tunes learning rate over {0.1, 0.01, 0.001, 0.0005}
+// and trains with Adam; every trainer in the repo uses this one optimizer.
 //
-// Both optimizers additionally support deterministic *row-sparse* steps for
-// embedding-style [rows, cols] parameters: Step(StepSparsity) updates only
-// the rows a step actually touched plus the tracked "hot" rows whose
-// optimizer state (moments / velocity) still holds nonzero bits. Every
-// skipped row is a provable bitwise no-op of the dense update (zero-bit
-// gradient row, all-+0 optimizer state, no weight decay), so the sparse
-// path is bit-identical to running every step dense — see DESIGN.md §8 —
-// and, unlike a deferred-replay design, parameter values are always
-// current: a forward pass may read any row between steps.
+// SparseStep() is a deterministic *row-sparse* step: each rank-2
+// (embedding-style [rows, cols]) parameter updates only the rows the step
+// actually touched plus the tracked "hot" rows whose moments still hold
+// nonzero bits; every other parameter updates densely. Every skipped row
+// is a provable bitwise no-op of the dense update (zero-bit gradient row,
+// all-+0 moments, no weight decay), so SparseStep() is bit-identical to
+// Step() — see DESIGN.md §8 — and, unlike a deferred-replay design,
+// parameter values are always current: a forward pass may read any row
+// between steps.
 //
-// Both Step variants are *fused multi-tensor* passes: each step first
-// resolves every parameter (and in sparse mode every touched-or-hot row
-// run) into a list of contiguous element spans, then applies the update to
-// all spans in one lane-vectorized sweep (tensor/lanes.h loop shape).
-// Updates are per-element independent, so the fusion is bit-identical to
-// the historical per-parameter loops; checkpoint wire format and
-// StepSparsity semantics are unchanged.
+// Both steps are *fused multi-tensor* passes: each step first resolves
+// every parameter (and in sparse mode every touched-or-hot row run) into a
+// list of contiguous element spans, then applies the update to all spans
+// in one lane-vectorized sweep (tensor/lanes.h loop shape). Updates are
+// per-element independent, so the fusion is bit-identical to the
+// historical per-parameter loops; the checkpoint wire format is unchanged.
 #ifndef DEKG_NN_OPTIMIZER_H_
 #define DEKG_NN_OPTIMIZER_H_
 
@@ -34,85 +32,7 @@ namespace dekg::nn {
 // Returns the pre-clip norm. Parameters without gradients are skipped.
 double ClipGradNorm(Module* module, double max_norm);
 
-// Per-step sparsity plan handed to Optimizer::Step(const StepSparsity&).
-struct StepSparsity {
-  enum class Mode : uint8_t {
-    kDense,     // update every element (classic behavior)
-    kAutoRows,  // rank-2 params: scan the gradient for rows with any
-                // nonzero bit pattern (catches -0.0 rows too)
-    kRows,      // rank-2 params: caller supplies the touched rows
-  };
-  struct ParamPlan {
-    Mode mode = Mode::kDense;
-    // kRows only: touched row indices, strictly ascending, in range.
-    std::vector<int64_t> rows;
-  };
-  // One plan per module parameter (registration order); empty = all dense.
-  // Non-kDense modes on rank-!=2 parameters fall back to dense.
-  std::vector<ParamPlan> plans;
-};
-
-// Hot-row tracking for one parameter under row-sparse steps. Invariant
-// while `valid`: every row NOT listed in `rows` has exclusively +0.0f bit
-// patterns in the optimizer's per-row state (Adam moments, SGD velocity),
-// which makes its zero-gradient dense update a bitwise no-op. Dense steps
-// and state restores invalidate the set; the next sparse step rebuilds it
-// by scanning the state tensors.
-struct HotRowState {
-  std::vector<int64_t> rows;  // ascending
-  bool valid = false;
-};
-
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  // Applies one update using the gradients currently stored on the
-  // parameters. Parameters whose gradient was never touched this step are
-  // skipped (sparse-friendly).
-  virtual void Step() = 0;
-
-  // Row-sparse step. The default implementation ignores the plan and runs
-  // a dense Step(); Sgd and Adam honor it. Parameter values are always
-  // fully up to date after any Step variant returns.
-  virtual void Step(const StepSparsity& sparsity) {
-    (void)sparsity;
-    Step();
-  }
-
-  // Serializes the optimizer's internal state (moment tensors, step
-  // counter) for checkpointing, and restores it. RestoreState returns
-  // false on malformed bytes or a parameter-count mismatch, leaving the
-  // state unspecified; callers treat that as a corrupt checkpoint.
-  // Hot-row bookkeeping is derived state (recomputed from the restored
-  // tensors), so the wire format is identical to the all-dense one.
-  virtual void SerializeState(std::vector<uint8_t>* out) const = 0;
-  virtual bool RestoreState(const std::vector<uint8_t>& payload) = 0;
-};
-
-class Sgd : public Optimizer {
- public:
-  struct Options {
-    double lr = 0.01;
-    double momentum = 0.0;
-    double weight_decay = 0.0;
-  };
-
-  Sgd(Module* module, Options options);
-  void Step() override;
-  void Step(const StepSparsity& sparsity) override;
-  void SerializeState(std::vector<uint8_t>* out) const override;
-  bool RestoreState(const std::vector<uint8_t>& payload) override;
-
- private:
-  void StepImpl(const StepSparsity* sparsity);
-
-  Module* module_;
-  Options options_;
-  std::vector<Tensor> velocity_;  // lazily sized to parameters
-  std::vector<HotRowState> hot_;  // momentum runs only
-};
-
-class Adam : public Optimizer {
+class Adam {
  public:
   struct Options {
     double lr = 0.01;
@@ -123,13 +43,35 @@ class Adam : public Optimizer {
   };
 
   Adam(Module* module, Options options);
-  void Step() override;
-  void Step(const StepSparsity& sparsity) override;
-  void SerializeState(std::vector<uint8_t>* out) const override;
-  bool RestoreState(const std::vector<uint8_t>& payload) override;
+
+  // Applies one update using the gradients currently stored on the
+  // parameters. Parameters whose gradient was never touched this step are
+  // skipped (sparse-friendly).
+  void Step();
+  // The row-sparse step described above; bit-identical to Step().
+  void SparseStep();
+
+  // Serializes the moment tensors and step counter for checkpointing, and
+  // restores them. RestoreState returns false on malformed bytes or a
+  // parameter-count mismatch, leaving the state unspecified; callers treat
+  // that as a corrupt checkpoint. Hot-row bookkeeping is derived state
+  // (recomputed from the restored tensors), so the wire format is
+  // identical to the all-dense one.
+  void SerializeState(std::vector<uint8_t>* out) const;
+  bool RestoreState(const std::vector<uint8_t>& payload);
 
  private:
-  void StepImpl(const StepSparsity* sparsity);
+  // Hot-row tracking for one parameter under sparse steps. Invariant
+  // while `valid`: every row NOT listed in `rows` has exclusively +0.0f
+  // bit patterns in both moments, which makes its zero-gradient dense
+  // update a bitwise no-op. Dense steps and state restores invalidate the
+  // set; the next sparse step rebuilds it by scanning the moments.
+  struct HotRowState {
+    std::vector<int64_t> rows;  // ascending
+    bool valid = false;
+  };
+
+  void StepImpl(bool sparse);
 
   Module* module_;
   Options options_;

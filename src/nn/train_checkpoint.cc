@@ -51,7 +51,7 @@ bool RestoreLoop(const std::vector<uint8_t>& payload, TrainLoopState* loop) {
 }  // namespace
 
 bool SaveTrainState(const std::string& path, const Module& module,
-                    const Optimizer& optimizer, const Rng& rng,
+                    const Adam& optimizer, const Rng& rng,
                     const TrainLoopState& loop) {
   std::vector<ckpt::Section> sections(4);
   sections[0].name = "params";
@@ -66,7 +66,7 @@ bool SaveTrainState(const std::string& path, const Module& module,
 }
 
 bool LoadTrainState(const std::string& path, Module* module,
-                    Optimizer* optimizer, Rng* rng, TrainLoopState* loop) {
+                    Adam* optimizer, Rng* rng, TrainLoopState* loop) {
   std::vector<ckpt::Section> sections;
   std::string error;
   switch (ckpt::ReadCheckpointFile(path, &sections, &error)) {

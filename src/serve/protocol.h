@@ -6,10 +6,11 @@
 // byte helpers of common/checkpoint.h):
 //
 //   u32  magic            0x444B4753 ("DKGS")
-//   u8   protocol version (currently 3: v3 added per-request ids +
-//        index offsets for connection pipelining, and per-shard cache
-//        blocks + the snapshot epoch in StatsResponse; v2 added the
-//        ingest patch / repair counters)
+//   u8   protocol version (currently 4, kProtocolVersion: v4 added the
+//        frozen-model accounting fields to StatsResponse; v3 added
+//        per-request ids + index offsets for connection pipelining, and
+//        per-shard cache blocks + the snapshot epoch in StatsResponse; v2
+//        added the ingest patch / repair counters)
 //   u8   message type     (MessageType)
 //   u16  reserved         (0)
 //   u64  payload length   (bounded by kMaxPayloadBytes)

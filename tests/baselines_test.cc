@@ -6,7 +6,7 @@
 #include "baselines/grail.h"
 #include "baselines/kge_models.h"
 #include "baselines/tact.h"
-#include "baselines/graph_trainer.h"
+#include "core/trainer.h"
 #include "datagen/synthetic_kg.h"
 
 namespace dekg::baselines {
@@ -220,15 +220,49 @@ TEST(GraphTrainerTest, TrainsTactLossDown) {
   config.num_relations = dataset.num_relations();
   config.dim = 8;
   Tact model(config, 5);
-  GraphTrainConfig train;
+  core::TrainConfig train;
   train.epochs = 12;
-  std::vector<double> losses = TrainGraphModel(
-      &model,
-      [&model](const KnowledgeGraph& g, const Triple& t, bool training,
-               Rng* rng) { return model.ScoreLink(g, t, training, rng); },
-      dataset, train);
+  const KnowledgeGraph& graph = dataset.original_graph();
+  core::Trainer trainer(
+      &model, &dataset, train,
+      core::MarginLoss(&dataset, train.negatives_per_positive,
+                       [&](const Triple& t, const Subgraph*, Rng* rng) {
+                         return model.ScoreLink(graph, t, true, rng);
+                       }));
+  std::vector<double> losses = trainer.Train();
   EXPECT_EQ(losses.size(), 12u);
   EXPECT_LT(losses.back(), losses.front());
+}
+
+// Three entities, one relation, all six ordered pairs: every head or tail
+// corruption of a train triple is a self-loop, the positive itself, or
+// another train triple, so filtered sampling always fails. The shared
+// sampler then falls back to a known triple that is not the positive, so
+// a negative never scores exactly like its positive and no epoch's mean
+// loss is pinned at exactly the margin.
+DekgDataset AllPairsDataset() {
+  std::vector<Triple> train;
+  for (EntityId h = 0; h < 3; ++h) {
+    for (EntityId t = 0; t < 3; ++t) {
+      if (h != t) train.push_back({h, 0, t});
+    }
+  }
+  return DekgDataset("all-pairs", 3, 0, 1, train, {}, {}, {});
+}
+
+TEST(KgeTrainingTest, NegativesOnAllPairsGraphAreNeverThePositive) {
+  DekgDataset dataset = AllPairsDataset();
+  KgeConfig config;
+  config.num_entities = dataset.num_total_entities();
+  config.num_relations = 1;
+  config.dim = 8;
+  TransE model(config);
+  KgeTrainConfig train;
+  train.epochs = 5;
+  train.batch_size = 2;
+  for (double loss : TrainKgeModel(&model, dataset, train)) {
+    EXPECT_NE(loss, train.margin);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Resume determinism: training N epochs straight must be bit-identical —
 // parameters, loss curve, and final Evaluate() metrics — to training k
 // epochs, checkpointing, "crashing", and resuming to N from the
-// checkpoint. Covers all three training loops (DekgIlpTrainer,
-// TrainKgeModel, TrainGraphModel) plus the acceptance fault sweep: a
-// crash injected at every write operation of a checkpoint save still
-// resumes bit-identically.
+// checkpoint. Covers every trainer: the shared per-example loop
+// (core::Trainer) with DEKG-ILP and with Neural LP, and the batched KGE
+// loop with TransE (TrainKgeModel) and GEN (TrainGen), plus the
+// acceptance fault sweep: a crash injected at every write operation of a
+// checkpoint save still resumes bit-identically.
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -12,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/graph_trainer.h"
+#include "baselines/gen.h"
 #include "baselines/kge_base.h"
 #include "baselines/kge_models.h"
 #include "baselines/neural_lp.h"
@@ -136,32 +137,71 @@ TEST_F(CheckpointResumeTest, NeuralLpGraphTrainerResumeIsBitIdentical) {
   baselines::NeuralLpConfig model_config;
   model_config.num_relations = dataset_->num_relations();
 
-  baselines::GraphTrainConfig train;
+  core::TrainConfig train;
   train.epochs = 4;
   train.max_triples_per_epoch = 40;
   train.seed = 5;
-  auto score_fn = [](baselines::NeuralLp* m) {
-    return [m](const KnowledgeGraph& g, const Triple& t, bool, Rng*) {
-      return m->ScoreLink(g, t);
-    };
+  const KnowledgeGraph& graph = dataset_->original_graph();
+  auto run = [&](baselines::NeuralLp* model, const core::TrainConfig& config) {
+    core::Trainer trainer(
+        model, dataset_, config,
+        core::MarginLoss(dataset_, config.negatives_per_positive,
+                         [model, &graph](const Triple& t, const Subgraph*,
+                                         Rng*) {
+                           return model->ScoreLink(graph, t);
+                         }));
+    return trainer.Train();
   };
 
   baselines::NeuralLp straight_model(model_config, 9);
-  const std::vector<double> straight_losses = baselines::TrainGraphModel(
-      &straight_model, score_fn(&straight_model), *dataset_, train);
+  const std::vector<double> straight_losses = run(&straight_model, train);
 
   {
     baselines::NeuralLp model(model_config, 9);
-    baselines::GraphTrainConfig first = train;
+    core::TrainConfig first = train;
     first.epochs = 2;
     first.checkpoint_path = CkptPath();
-    baselines::TrainGraphModel(&model, score_fn(&model), *dataset_, first);
+    run(&model, first);
   }
   baselines::NeuralLp resumed_model(model_config, 9);
-  baselines::GraphTrainConfig rest = train;
+  core::TrainConfig rest = train;
   rest.checkpoint_path = CkptPath();
-  const std::vector<double> resumed_losses = baselines::TrainGraphModel(
-      &resumed_model, score_fn(&resumed_model), *dataset_, rest);
+  const std::vector<double> resumed_losses = run(&resumed_model, rest);
+
+  EXPECT_EQ(resumed_losses, straight_losses);
+  EXPECT_EQ(ParamBytes(resumed_model), ParamBytes(straight_model));
+}
+
+TEST_F(CheckpointResumeTest, GenResumeIsBitIdentical) {
+  baselines::KgeConfig model_config;
+  model_config.num_entities = dataset_->num_total_entities();
+  model_config.num_relations = dataset_->num_relations();
+  model_config.dim = 8;
+
+  baselines::KgeTrainConfig train;
+  train.epochs = 4;
+  train.batch_size = 32;
+  train.seed = 4;
+
+  baselines::Gen straight_model(model_config);
+  const std::vector<double> straight_losses =
+      baselines::TrainGen(&straight_model, *dataset_, train);
+
+  {
+    baselines::Gen model(model_config);
+    baselines::KgeTrainConfig first = train;
+    first.epochs = 2;
+    first.checkpoint_path = CkptPath();
+    baselines::TrainGen(&model, *dataset_, first);
+  }
+  // A trainer that ignored checkpoint_path would leave no file and rerun
+  // all four epochs from scratch, matching the straight run vacuously.
+  ASSERT_TRUE(std::filesystem::exists(CkptPath()));
+  baselines::Gen resumed_model(model_config);
+  baselines::KgeTrainConfig rest = train;
+  rest.checkpoint_path = CkptPath();
+  const std::vector<double> resumed_losses =
+      baselines::TrainGen(&resumed_model, *dataset_, rest);
 
   EXPECT_EQ(resumed_losses, straight_losses);
   EXPECT_EQ(ParamBytes(resumed_model), ParamBytes(straight_model));

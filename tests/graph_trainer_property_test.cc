@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/graph_trainer.h"
 #include "core/dekg_ilp.h"
 #include "core/trainer.h"
 #include "datagen/synthetic_kg.h"

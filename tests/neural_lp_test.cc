@@ -1,13 +1,29 @@
 #include "baselines/neural_lp.h"
 
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
-#include "baselines/graph_trainer.h"
+#include "common/thread_pool.h"
+#include "core/trainer.h"
 
 namespace dekg::baselines {
 namespace {
+
+// Trains `model` on the shared loop with the plain margin loss.
+std::vector<double> Train(NeuralLp* model, const DekgDataset& dataset,
+                          const core::TrainConfig& train) {
+  const KnowledgeGraph& graph = dataset.original_graph();
+  core::Trainer trainer(
+      model, &dataset, train,
+      core::MarginLoss(&dataset, train.negatives_per_positive,
+                       [model, &graph](const Triple& t, const Subgraph*,
+                                       Rng*) {
+                         return model->ScoreLink(graph, t);
+                       }));
+  return trainer.Train();
+}
 
 // Chain with a planted composition: r0(x,y) ∧ r1(y,z) alongside direct
 // r2(x,z) facts, so the rule r0 ∧ r1 => r2 is learnable.
@@ -52,15 +68,10 @@ TEST(NeuralLpTest, TrainingLearnsTheCompositionRule) {
   NeuralLpConfig config;
   config.num_relations = dataset.num_relations();
   NeuralLp model(config, 3);
-  GraphTrainConfig train;
+  core::TrainConfig train;
   train.epochs = 30;
   train.lr = 0.1;
-  std::vector<double> losses = TrainGraphModel(
-      &model,
-      [&model](const KnowledgeGraph& g, const Triple& t, bool, Rng*) {
-        return model.ScoreLink(g, t);
-      },
-      dataset, train);
+  std::vector<double> losses = Train(&model, dataset, train);
   EXPECT_LT(losses.back(), losses.front());
 
   // After training, the true enclosing link outranks corruptions whose
@@ -70,6 +81,53 @@ TEST(NeuralLpTest, TrainingLearnsTheCompositionRule) {
   double wrong_tail =
       model.ScoreTriples(dataset.inference_graph(), {{14, 2, 15}})[0];
   EXPECT_GT(true_score, wrong_tail);
+}
+
+TEST(NeuralLpTest, GraphReplacedAtTheSameAddressScoresLikeItsCopy) {
+  // The operator cache must not key on the graph's address: a new graph
+  // built into the same storage has to be scored on its own edges.
+  NeuralLpConfig config;
+  config.num_relations = 2;
+  NeuralLp model(config, 10);
+  const Triple query{0, 1, 2};
+  std::optional<KnowledgeGraph> slot;
+  slot.emplace(BuildGraph(3, 2, {{0, 0, 1}, {1, 0, 2}}));
+  EXPECT_GT(model.ScoreLink(*slot, query).value().Data()[0], 0.0f);
+  slot.emplace(BuildGraph(3, 2, {{0, 0, 1}}));  // no path to 2 any more
+  const float replaced = model.ScoreLink(*slot, query).value().Data()[0];
+  const KnowledgeGraph copy = *slot;
+  EXPECT_EQ(replaced, model.ScoreLink(copy, query).value().Data()[0]);
+  EXPECT_EQ(replaced, 0.0f);
+}
+
+TEST(NeuralLpTest, ConcurrentScoringAcrossTwoGraphsMatchesSerial) {
+  // Alternating graphs force cache rebuilds while other threads score.
+  DekgDataset dataset = RuleWorld();
+  NeuralLpConfig config;
+  config.num_relations = dataset.num_relations();
+  NeuralLp model(config, 11);
+  const KnowledgeGraph* graphs[] = {&dataset.original_graph(),
+                                    &dataset.inference_graph()};
+  std::vector<Triple> queries;
+  for (EntityId h = 0; h < 14; ++h) queries.push_back({h, 2, (h + 2) % 14});
+  std::vector<float> serial;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    serial.push_back(
+        model.ScoreLink(*graphs[i % 2], queries[i]).value().Data()[0]);
+  }
+  std::vector<float> parallel(queries.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(0, static_cast<int64_t>(queries.size()), 1,
+                   [&](int64_t begin, int64_t end) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       const size_t k = static_cast<size_t>(i);
+                       parallel[k] = model.ScoreLink(*graphs[k % 2],
+                                                     queries[k])
+                                         .value()
+                                         .Data()[0];
+                     }
+                   });
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST(NeuralLpTest, IdentityOperatorAdmitsShortPaths) {
@@ -150,15 +208,11 @@ TEST(DrumTest, MultiChannelExpressesTwoDistinctRules) {
     config.num_relations = 4;
     config.num_rule_channels = channels;
     auto model = std::make_unique<NeuralLp>(config, 7);
-    GraphTrainConfig tc;
+    core::TrainConfig tc;
     tc.epochs = 40;
     tc.lr = 0.1;
     tc.seed = 8;
-    TrainGraphModel(
-        model.get(),
-        [m = model.get()](const KnowledgeGraph& g, const Triple& t, bool,
-                          Rng*) { return m->ScoreLink(g, t); },
-        dataset, tc);
+    Train(model.get(), dataset, tc);
     return model;
   };
   auto drum = train_model(2);

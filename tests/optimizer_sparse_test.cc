@@ -32,23 +32,6 @@ void BackwardGather(Embedding* table, const std::vector<int64_t>& rows) {
   ag::SumAll(ag::Square(table->Forward(rows))).Backward();
 }
 
-StepSparsity AutoRowsPlan() {
-  StepSparsity sparsity;
-  StepSparsity::ParamPlan plan;
-  plan.mode = StepSparsity::Mode::kAutoRows;
-  sparsity.plans.push_back(plan);
-  return sparsity;
-}
-
-StepSparsity RowsPlan(std::vector<int64_t> rows) {
-  StepSparsity sparsity;
-  StepSparsity::ParamPlan plan;
-  plan.mode = StepSparsity::Mode::kRows;
-  plan.rows = std::move(rows);
-  sparsity.plans.push_back(plan);
-  return sparsity;
-}
-
 // The touch schedule used by the equivalence tests: rows revisited after
 // idle stretches, rows never touched, and one step touching nothing new —
 // the shapes that distinguish true dense semantics (hot rows keep moving
@@ -64,50 +47,13 @@ TEST(SparseOptimizerTest, AdamSparseStepsAreBitIdenticalToDense) {
   ExpectTablesBitIdentical(dense_table, sparse_table, "init");
   Adam dense_opt(&dense_table, {.lr = 0.05});
   Adam sparse_opt(&sparse_table, {.lr = 0.05});
-  const StepSparsity sparsity = AutoRowsPlan();
   for (size_t s = 0; s < kTouchSchedule.size(); ++s) {
     BackwardGather(&dense_table, kTouchSchedule[s]);
     dense_opt.Step();
     BackwardGather(&sparse_table, kTouchSchedule[s]);
-    sparse_opt.Step(sparsity);
+    sparse_opt.SparseStep();
     // Values must match after EVERY step — the next forward pass may read
     // any row, so sparse updates cannot defer work across steps.
-    ExpectTablesBitIdentical(dense_table, sparse_table,
-                             "step " + std::to_string(s));
-  }
-}
-
-TEST(SparseOptimizerTest, ExplicitRowsPlanMatchesAutoScan) {
-  Rng rng_a(22), rng_b(22);
-  Embedding auto_table(8, 4, &rng_a);
-  Embedding rows_table(8, 4, &rng_b);
-  Adam auto_opt(&auto_table, {.lr = 0.05});
-  Adam rows_opt(&rows_table, {.lr = 0.05});
-  const StepSparsity auto_plan = AutoRowsPlan();
-  for (size_t s = 0; s < kTouchSchedule.size(); ++s) {
-    BackwardGather(&auto_table, kTouchSchedule[s]);
-    auto_opt.Step(auto_plan);
-    BackwardGather(&rows_table, kTouchSchedule[s]);
-    // The schedule's row lists are already strictly ascending, as kRows
-    // requires.
-    rows_opt.Step(RowsPlan(kTouchSchedule[s]));
-    ExpectTablesBitIdentical(auto_table, rows_table,
-                             "step " + std::to_string(s));
-  }
-}
-
-TEST(SparseOptimizerTest, SgdMomentumSparseStepsAreBitIdenticalToDense) {
-  Rng rng_a(23), rng_b(23);
-  Embedding dense_table(8, 4, &rng_a);
-  Embedding sparse_table(8, 4, &rng_b);
-  Sgd dense_opt(&dense_table, {.lr = 0.05, .momentum = 0.9});
-  Sgd sparse_opt(&sparse_table, {.lr = 0.05, .momentum = 0.9});
-  const StepSparsity sparsity = AutoRowsPlan();
-  for (size_t s = 0; s < kTouchSchedule.size(); ++s) {
-    BackwardGather(&dense_table, kTouchSchedule[s]);
-    dense_opt.Step();
-    BackwardGather(&sparse_table, kTouchSchedule[s]);
-    sparse_opt.Step(sparsity);
     ExpectTablesBitIdentical(dense_table, sparse_table,
                              "step " + std::to_string(s));
   }
@@ -122,13 +68,12 @@ TEST(SparseOptimizerTest, IdleHotRowsKeepDecayingLikeDense) {
   Rng rng(24);
   Embedding table(4, 2, &rng);
   Adam optimizer(&table, {.lr = 0.1});
-  const StepSparsity sparsity = AutoRowsPlan();
   BackwardGather(&table, {1});
-  optimizer.Step(sparsity);
+  optimizer.SparseStep();
   Tensor after_touch = table.table().value().Clone();
   // Row 1 idle, row 2 touched: row 1 must still move (moment decay).
   BackwardGather(&table, {2});
-  optimizer.Step(sparsity);
+  optimizer.SparseStep();
   bool row1_moved = false;
   for (int64_t c = 0; c < 2; ++c) {
     row1_moved =
@@ -150,10 +95,9 @@ TEST(SparseOptimizerTest, RestoreMidSparseContinuesBitIdentically) {
   Embedding table(8, 4, &rng_a);
   Embedding restored_table(8, 4, &rng_b);
   Adam optimizer(&table, {.lr = 0.05});
-  const StepSparsity sparsity = AutoRowsPlan();
   for (size_t s = 0; s < 4; ++s) {
     BackwardGather(&table, kTouchSchedule[s]);
-    optimizer.Step(sparsity);
+    optimizer.SparseStep();
   }
   std::vector<uint8_t> state;
   optimizer.SerializeState(&state);
@@ -168,16 +112,16 @@ TEST(SparseOptimizerTest, RestoreMidSparseContinuesBitIdentically) {
 
   for (size_t s = 4; s < kTouchSchedule.size(); ++s) {
     BackwardGather(&table, kTouchSchedule[s]);
-    optimizer.Step(sparsity);
+    optimizer.SparseStep();
     BackwardGather(&restored_table, kTouchSchedule[s]);
-    restored_opt.Step(sparsity);
+    restored_opt.SparseStep();
     ExpectTablesBitIdentical(table, restored_table,
                              "step " + std::to_string(s));
   }
 }
 
 TEST(SparseOptimizerTest, MixedDenseAndSparseStepsStayBitIdentical) {
-  // Alternating Step() and Step(sparsity) on the same optimizer must match
+  // Alternating Step() and SparseStep() on the same optimizer must match
   // an all-dense run: a dense pass invalidates the hot-row set, and the
   // next sparse step rebuilds it from the moment tensors.
   Rng rng_a(26), rng_b(26);
@@ -185,13 +129,12 @@ TEST(SparseOptimizerTest, MixedDenseAndSparseStepsStayBitIdentical) {
   Embedding mixed_table(8, 4, &rng_b);
   Adam dense_opt(&dense_table, {.lr = 0.05});
   Adam mixed_opt(&mixed_table, {.lr = 0.05});
-  const StepSparsity sparsity = AutoRowsPlan();
   for (size_t s = 0; s < kTouchSchedule.size(); ++s) {
     BackwardGather(&dense_table, kTouchSchedule[s]);
     dense_opt.Step();
     BackwardGather(&mixed_table, kTouchSchedule[s]);
     if (s % 2 == 0) {
-      mixed_opt.Step(sparsity);
+      mixed_opt.SparseStep();
     } else {
       mixed_opt.Step();
     }
@@ -226,10 +169,10 @@ TEST(SparseOptimizerTest, ParametersWithoutGradAreSkipped) {
       << "sanity";
 }
 
-TEST(SparseOptimizerTest, UngatheredEmbeddingRowsUnchangedBySgd) {
+TEST(SparseOptimizerTest, UngatheredEmbeddingRowsUnchangedByAdam) {
   Rng rng(2);
   Embedding table(6, 4, &rng);
-  Sgd optimizer(&table, {.lr = 0.5});
+  Adam optimizer(&table, {.lr = 0.5});
   Tensor before = table.table().value().Clone();
   table.ZeroGrad();
   // Touch rows 1 and 3 only.

@@ -394,10 +394,6 @@ TEST(FusedOptimizerContractTest, AdamMatchesScalarReferenceBitwise) {
   Tensor ref_m_bias = Tensor::Zeros(ref_w_bias.shape());
   Tensor ref_v_bias = Tensor::Zeros(ref_w_bias.shape());
 
-  nn::StepSparsity sparsity;
-  sparsity.plans.resize(2);
-  sparsity.plans[0].mode = nn::StepSparsity::Mode::kAutoRows;
-
   for (int64_t step = 1; step <= 4; ++step) {
     mod.ZeroGrad();
     // Alternate sparse-gradient and dense-gradient steps.
@@ -407,46 +403,9 @@ TEST(FusedOptimizerContractTest, AdamMatchesScalarReferenceBitwise) {
                 opt, step);
     RefAdamStep(&ref_w_bias, mod.bias.grad(), &ref_m_bias, &ref_v_bias, opt,
                 step);
-    adam.Step(sparsity);
+    adam.SparseStep();
     ExpectBitEqual(mod.table.value(), ref_w_table, "adam table");
     ExpectBitEqual(mod.bias.value(), ref_w_bias, "adam bias");
-  }
-}
-
-TEST(FusedOptimizerContractTest, SgdMomentumMatchesScalarReferenceBitwise) {
-  TwoParamModule mod(2029);
-  nn::Sgd::Options opt;
-  opt.lr = 0.05;
-  opt.momentum = 0.9;
-  nn::Sgd sgd(&mod, opt);
-
-  Tensor ref_w_table = mod.table.value().Clone();
-  Tensor ref_w_bias = mod.bias.value().Clone();
-  Tensor ref_v_table = Tensor::Zeros(ref_w_table.shape());
-  Tensor ref_v_bias = Tensor::Zeros(ref_w_bias.shape());
-  const float lr = static_cast<float>(opt.lr);
-  const float mu = static_cast<float>(opt.momentum);
-  auto ref_step = [&](Tensor* w, const Tensor& g, Tensor* vel) {
-    for (int64_t j = 0; j < w->numel(); ++j) {
-      const float gj = g.Data()[j];
-      vel->Data()[j] = mu * vel->Data()[j] + gj;
-      w->Data()[j] -= lr * vel->Data()[j];
-    }
-  };
-
-  nn::StepSparsity sparsity;
-  sparsity.plans.resize(2);
-  sparsity.plans[0].mode = nn::StepSparsity::Mode::kAutoRows;
-
-  for (int64_t step = 1; step <= 4; ++step) {
-    mod.ZeroGrad();
-    SeedGrads(&mod, 4001 + static_cast<uint64_t>(step),
-              /*sparse_rows=*/step % 2 == 1);
-    ref_step(&ref_w_table, mod.table.grad(), &ref_v_table);
-    ref_step(&ref_w_bias, mod.bias.grad(), &ref_v_bias);
-    sgd.Step(sparsity);
-    ExpectBitEqual(mod.table.value(), ref_w_table, "sgd table");
-    ExpectBitEqual(mod.bias.value(), ref_w_bias, "sgd bias");
   }
 }
 

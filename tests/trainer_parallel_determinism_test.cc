@@ -3,8 +3,10 @@
 // Evaluate() metrics — to data-parallel runs at 2 and 4 threads, with the
 // subgraph cache and the row-sparse optimizer on or off in any
 // combination, and across a checkpoint resume under parallelism (including
-// a save hit by an injected fault). Also pins the SampleNegativeTriple
-// fallback invariants on graphs dense enough to defeat filtered sampling.
+// a save hit by an injected fault). TACT and Neural LP, which train
+// through the same core::Trainer loop, join the thread sweep and the
+// resume case. Also pins the SampleNegativeTriple fallback invariants on
+// graphs dense enough to defeat filtered sampling.
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -13,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/neural_lp.h"
+#include "baselines/tact.h"
 #include "common/checkpoint.h"
 #include "core/dekg_ilp.h"
 #include "core/trainer.h"
@@ -62,23 +66,95 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
     return train;
   }
 
+  // The models that train through core::Trainer.
+  enum class Kind { kDekgIlp, kTact, kNeuralLp };
+  static constexpr Kind kKinds[] = {Kind::kDekgIlp, Kind::kTact,
+                                    Kind::kNeuralLp};
+
+  // A fresh model of `kind` (same seed every time) and its trainer.
+  struct Setup {
+    std::unique_ptr<nn::Module> module;
+    std::unique_ptr<LinkPredictor> adapter;  // DEKG-ILP's predictor
+    LinkPredictor* predictor = nullptr;
+    std::unique_ptr<core::Trainer> trainer;
+  };
+
+  static Setup MakeSetup(Kind kind, const core::TrainConfig& train) {
+    const KnowledgeGraph* graph = &dataset_->original_graph();
+    Setup setup;
+    switch (kind) {
+      case Kind::kDekgIlp: {
+        auto model = std::make_unique<core::DekgIlpModel>(ModelConfig(), 7);
+        setup.trainer =
+            std::make_unique<core::DekgIlpTrainer>(model.get(), dataset_, train);
+        setup.adapter = std::make_unique<core::DekgIlpPredictor>(model.get());
+        setup.predictor = setup.adapter.get();
+        setup.module = std::move(model);
+        break;
+      }
+      case Kind::kTact: {
+        baselines::TactConfig config;
+        config.num_relations = dataset_->num_relations();
+        config.dim = 8;
+        auto model = std::make_unique<baselines::Tact>(config, 7);
+        baselines::Tact* m = model.get();
+        setup.trainer = std::make_unique<core::Trainer>(
+            m, dataset_, train,
+            core::MarginLoss(dataset_, train.negatives_per_positive,
+                             [m, graph](const Triple& t, const Subgraph*,
+                                        Rng* rng) {
+                               return m->ScoreLink(*graph, t, true, rng);
+                             }));
+        setup.predictor = m;
+        setup.module = std::move(model);
+        break;
+      }
+      case Kind::kNeuralLp: {
+        baselines::NeuralLpConfig config;
+        config.num_relations = dataset_->num_relations();
+        auto model = std::make_unique<baselines::NeuralLp>(config, 7);
+        baselines::NeuralLp* m = model.get();
+        setup.trainer = std::make_unique<core::Trainer>(
+            m, dataset_, train,
+            core::MarginLoss(dataset_, train.negatives_per_positive,
+                             [m, graph](const Triple& t, const Subgraph*,
+                                        Rng*) {
+                               return m->ScoreLink(*graph, t);
+                             }));
+        setup.predictor = m;
+        setup.module = std::move(model);
+        break;
+      }
+    }
+    return setup;
+  }
+
+  static std::string KindName(Kind kind) {
+    switch (kind) {
+      case Kind::kDekgIlp: return "DEKG-ILP";
+      case Kind::kTact: return "TACT";
+      case Kind::kNeuralLp: return "NeuralLP";
+    }
+    return "";
+  }
+
   struct RunResult {
     std::vector<double> losses;
     std::vector<uint8_t> params;
     std::string metrics;
   };
 
-  static RunResult Run(const core::TrainConfig& train) {
-    core::DekgIlpModel model(ModelConfig(), 7);
-    core::DekgIlpTrainer trainer(&model, dataset_, train);
+  static RunResult Run(const core::TrainConfig& train,
+                       Kind kind = Kind::kDekgIlp) {
+    Setup setup = MakeSetup(kind, train);
     RunResult result;
-    result.losses = trainer.Train();
-    result.params = ParamBytes(model);
-    core::DekgIlpPredictor predictor(&model);
+    result.losses = setup.trainer->Train();
+    result.params = ParamBytes(*setup.module);
     EvalConfig eval;
     eval.num_entity_negatives = 12;
     eval.max_links = 12;
-    result.metrics = GoldenSummary(Evaluate(&predictor, *dataset_, eval));
+    result.metrics =
+        GoldenSummary(Evaluate(setup.predictor, *dataset_, eval));
     return result;
   }
 
@@ -98,15 +174,17 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
 DekgDataset* TrainerParallelDeterminismTest::dataset_ = nullptr;
 
 TEST_F(TrainerParallelDeterminismTest, SerialAndParallelRunsAreBitIdentical) {
-  core::TrainConfig serial = BaseTrain();
-  serial.num_threads = 1;
-  const RunResult reference = Run(serial);
-  ASSERT_EQ(reference.losses.size(), 3u);
-  for (int32_t threads : {2, 4}) {
-    core::TrainConfig parallel = BaseTrain();
-    parallel.num_threads = threads;
-    ExpectSameRun(reference, Run(parallel),
-                  "threads=" + std::to_string(threads));
+  for (Kind kind : kKinds) {
+    core::TrainConfig serial = BaseTrain();
+    serial.num_threads = 1;
+    const RunResult reference = Run(serial, kind);
+    ASSERT_EQ(reference.losses.size(), 3u) << KindName(kind);
+    for (int32_t threads : {2, 4}) {
+      core::TrainConfig parallel = BaseTrain();
+      parallel.num_threads = threads;
+      ExpectSameRun(reference, Run(parallel, kind),
+                    KindName(kind) + " threads=" + std::to_string(threads));
+    }
   }
 }
 
@@ -159,38 +237,39 @@ TEST_F(TrainerParallelDeterminismTest, ResumeUnderParallelismIsBitIdentical) {
   const auto dir = std::filesystem::temp_directory_path() / "dekg_train_par";
   std::filesystem::create_directories(dir);
   const std::string ckpt = (dir / "resume.ckpt").string();
-  std::filesystem::remove(ckpt);
 
-  core::TrainConfig straight = BaseTrain();
-  straight.epochs = 4;
-  straight.num_threads = 1;
-  const RunResult reference = Run(straight);
+  for (Kind kind : kKinds) {
+    SCOPED_TRACE(KindName(kind));
+    std::filesystem::remove(ckpt);
+    core::TrainConfig straight = BaseTrain();
+    straight.epochs = 4;
+    straight.num_threads = 1;
+    const RunResult reference = Run(straight, kind);
 
-  // Two epochs at 4 threads with a checkpoint, "crash", then resume to 4
-  // epochs at 2 threads: thread count may change across the crash without
-  // moving a bit.
-  {
-    core::DekgIlpModel model(ModelConfig(), 7);
-    core::TrainConfig first = straight;
-    first.epochs = 2;
-    first.num_threads = 4;
-    first.checkpoint_path = ckpt;
-    core::DekgIlpTrainer trainer(&model, dataset_, first);
-    trainer.Train();
-    ASSERT_EQ(trainer.epochs_completed(), 2);
+    // Two epochs at 4 threads with a checkpoint, "crash", then resume to 4
+    // epochs at 2 threads: thread count may change across the crash
+    // without moving a bit.
+    {
+      core::TrainConfig first = straight;
+      first.epochs = 2;
+      first.num_threads = 4;
+      first.checkpoint_path = ckpt;
+      Setup setup = MakeSetup(kind, first);
+      setup.trainer->Train();
+      ASSERT_EQ(setup.trainer->epochs_completed(), 2);
+    }
+    core::TrainConfig rest = straight;
+    rest.num_threads = 2;
+    rest.checkpoint_path = ckpt;
+    Setup resumed = MakeSetup(kind, rest);
+    const std::vector<double> resumed_losses = resumed.trainer->Train();
+
+    ASSERT_EQ(resumed_losses.size(), reference.losses.size());
+    for (size_t i = 0; i < resumed_losses.size(); ++i) {
+      EXPECT_EQ(resumed_losses[i], reference.losses[i]) << "epoch " << i;
+    }
+    EXPECT_EQ(ParamBytes(*resumed.module), reference.params);
   }
-  core::DekgIlpModel resumed_model(ModelConfig(), 7);
-  core::TrainConfig rest = straight;
-  rest.num_threads = 2;
-  rest.checkpoint_path = ckpt;
-  core::DekgIlpTrainer resumed(&resumed_model, dataset_, rest);
-  const std::vector<double> resumed_losses = resumed.Train();
-
-  ASSERT_EQ(resumed_losses.size(), reference.losses.size());
-  for (size_t i = 0; i < resumed_losses.size(); ++i) {
-    EXPECT_EQ(resumed_losses[i], reference.losses[i]) << "epoch " << i;
-  }
-  EXPECT_EQ(ParamBytes(resumed_model), reference.params);
   std::filesystem::remove_all(dir);
 }
 
