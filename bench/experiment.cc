@@ -312,12 +312,13 @@ ModelRun RunModel(ModelKind kind, const DekgDataset& dataset,
       const KnowledgeGraph& graph = dataset.original_graph();
       core::Trainer(&model, &dataset, train,
                     core::MarginLoss(&dataset, train.negatives_per_positive,
-                                     [&](const Triple& t, const Subgraph*,
-                                         Rng* rng) {
+                                     [&](const Triple& t,
+                                         const Subgraph* subgraph, Rng* rng) {
                                        return model.ScoreLink(
-                                           graph, t, /*training=*/true, rng);
+                                           graph, t, /*training=*/true, rng,
+                                           subgraph);
                                      }),
-                    nullptr, model.Name())
+                    model.gsm(), model.Name())
           .Train();
       run.train_seconds_per_epoch = train_timer.ElapsedSeconds() / epochs_run;
       run.parameter_count = model.ParameterCount();

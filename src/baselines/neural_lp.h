@@ -59,6 +59,8 @@ class NeuralLp : public nn::Module, public LinkPredictor {
   std::string Name() const override { return "NeuralLP"; }
   std::vector<double> ScoreTriples(const KnowledgeGraph& inference_graph,
                                    const std::vector<Triple>& triples) override;
+  // ScoreLink is read-only and thread-safe, so Evaluate ranks in parallel.
+  bool SupportsConcurrentScoring() const override { return true; }
   int64_t ParameterCount() const override { return nn::Module::ParameterCount(); }
 
   const NeuralLpConfig& config() const { return config_; }

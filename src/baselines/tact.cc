@@ -74,10 +74,14 @@ ag::Var Tact::CorrelationScore(const Subgraph& subgraph,
 }
 
 ag::Var Tact::ScoreLink(const KnowledgeGraph& graph, const Triple& triple,
-                        bool training, Rng* rng) {
-  Subgraph subgraph = gsm_->Extract(graph, triple);
-  ag::Var tpo = gsm_->ScoreSubgraph(subgraph, triple.rel, training, rng);
-  ag::Var corr = CorrelationScore(subgraph, triple);
+                        bool training, Rng* rng, const Subgraph* subgraph) {
+  Subgraph extracted;
+  if (subgraph == nullptr) {
+    extracted = gsm_->Extract(graph, triple);
+    subgraph = &extracted;
+  }
+  ag::Var tpo = gsm_->ScoreSubgraph(*subgraph, triple.rel, training, rng);
+  ag::Var corr = CorrelationScore(*subgraph, triple);
   return ag::Add(tpo, corr);
 }
 

@@ -30,9 +30,18 @@ class Tact : public nn::Module, public LinkPredictor {
  public:
   Tact(const TactConfig& config, uint64_t seed);
 
-  // Subgraph score (GraIL labeling) + relation-correlation score.
+  // Subgraph score (GraIL labeling) + relation-correlation score. When
+  // `subgraph` is non-null it must be the enclosing subgraph of `triple`
+  // on `graph` (e.g. the trainer's cached positive subgraph), which is
+  // scored instead of re-extracting; extraction is deterministic, so both
+  // forms give bit-identical scores.
   ag::Var ScoreLink(const KnowledgeGraph& graph, const Triple& triple,
-                    bool training, Rng* rng);
+                    bool training, Rng* rng,
+                    const Subgraph* subgraph = nullptr);
+
+  // The GSM whose extraction ScoreLink uses; core::Trainer prefills its
+  // subgraph cache through it.
+  const core::Gsm* gsm() const { return gsm_.get(); }
 
   // ----- LinkPredictor -----
   std::string Name() const override { return "TACT"; }

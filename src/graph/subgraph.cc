@@ -302,6 +302,9 @@ Subgraph ExtractSubgraph(const KnowledgeGraph& g, EntityId head,
                          SubgraphWorkspace* ws) {
   DEKG_CHECK(g.built());
   DEKG_CHECK_GE(config.num_hops, 1);
+  // The touched set's labels (TouchedEntityLabels) store distances in
+  // one signed byte.
+  DEKG_CHECK_LE(config.num_hops, TouchedLabels::kMaxLabelHops);
   DEKG_CHECK_GE(config.max_nodes, 0);
   ws->EnsureNodeCapacity(g.num_entities());
   ws->EnsureEdgeCapacity(g.num_triples());
@@ -421,8 +424,8 @@ TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace) {
   out.dist_tail.reserve(workspace.touched.size());
   for (const EntityId u : workspace.touched) {
     out.entities.push_back(u);
-    out.dist_head.push_back(workspace.HeadDistance(u));
-    out.dist_tail.push_back(workspace.TailDistance(u));
+    out.dist_head.push_back(static_cast<int8_t>(workspace.HeadDistance(u)));
+    out.dist_tail.push_back(static_cast<int8_t>(workspace.TailDistance(u)));
   }
   return out;
 }
@@ -431,9 +434,10 @@ bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
                                    EntityId blocked, int32_t max_depth,
                                    const std::vector<Triple>& new_edges,
                                    const std::vector<EntityId>& entities,
-                                   std::vector<int32_t>* dist, bool* changed) {
+                                   std::vector<int8_t>* dist, bool* changed) {
   DEKG_CHECK_EQ(entities.size(), dist->size());
   DEKG_CHECK_GE(max_depth, 1);
+  DEKG_CHECK_LE(max_depth, TouchedLabels::kMaxLabelHops);
   const auto local = [&entities](EntityId e) -> int64_t {
     const auto it = std::lower_bound(entities.begin(), entities.end(), e);
     if (it == entities.end() || *it != e) return -1;
@@ -483,7 +487,7 @@ bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
       }
       const int32_t dv = (*dist)[static_cast<size_t>(lv)];
       if (dv >= 0 && dv <= nd) continue;
-      (*dist)[static_cast<size_t>(lv)] = nd;
+      (*dist)[static_cast<size_t>(lv)] = static_cast<int8_t>(nd);
       *changed = true;
       if (nd < max_depth) queue.push_back(v);
     }

@@ -240,11 +240,15 @@ std::vector<EntityId> TouchedEntities(const SubgraphWorkspace& workspace);
 // outside that field's t-hop ball). This is everything an extraction
 // depends on besides the graph itself, and it is small — O(touched set),
 // not O(num_entities) — so the serve layer keeps one per cached subgraph
-// to support in-place patching under ingest.
+// to support in-place patching under ingest. A distance lies in
+// -1..num_hops, so it is stored in one signed byte: 6 bytes per touched
+// entity. ExtractSubgraph and RelaxDistancesAfterEdgeInsert check
+// num_hops <= kMaxLabelHops, so no label is ever narrowed.
 struct TouchedLabels {
+  static constexpr int32_t kMaxLabelHops = 127;
   std::vector<EntityId> entities;
-  std::vector<int32_t> dist_head;
-  std::vector<int32_t> dist_tail;
+  std::vector<int8_t> dist_head;
+  std::vector<int8_t> dist_tail;
 };
 
 // TouchedEntities plus the distance labels, read from the same sparse
@@ -254,12 +258,13 @@ TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace);
 // In-place decrease-only re-relaxation of one blocked-BFS distance field
 // after new edges were appended to `g` (which must already contain them).
 // `entities` is the ascending touched set of the original extraction and
-// *dist the field being patched (aligned with `entities`); `source` must
-// sit in `entities` at distance 0 in that field (checked). New edges can
-// only shorten distances, so the fixpoint is reached by label-correcting
-// relaxation seeded from the new edges' endpoints; propagation walks
-// g.IncidentEdges, so improvements that chain through several new edges
-// of one batch are found.
+// *dist the one-byte field being patched in place (aligned with
+// `entities`); `source` must sit in `entities` at distance 0 in that
+// field, and max_depth must be at most TouchedLabels::kMaxLabelHops
+// (both checked). New edges can only shorten distances, so the fixpoint
+// is reached by label-correcting relaxation seeded from the new edges'
+// endpoints; propagation walks g.IncidentEdges, so improvements that
+// chain through several new edges of one batch are found.
 //
 // Returns false when some entity OUTSIDE `entities` would acquire a
 // distance <= max_depth — i.e. a new node enters the t-hop ball, changing
@@ -274,7 +279,7 @@ bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
                                    EntityId blocked, int32_t max_depth,
                                    const std::vector<Triple>& new_edges,
                                    const std::vector<EntityId>& entities,
-                                   std::vector<int32_t>* dist, bool* changed);
+                                   std::vector<int8_t>* dist, bool* changed);
 
 // Rebuilds the labeled subgraph for (head, ?, tail) from sparse labels
 // instead of running the two blocked BFS passes. `labels` must equal the

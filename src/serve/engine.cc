@@ -265,6 +265,8 @@ EngineStats InferenceEngine::Stats() const {
   stats.cache_patched = patched_;
   stats.cache_repaired = repaired_;
   stats.cache_fallback = fallback_;
+  stats.index_bytes = static_cast<uint64_t>(index_.bytes());
+  stats.index_sweeps = static_cast<uint64_t>(index_.sweeps());
   // Graph counters come off the published snapshot so Stats is safe to
   // call where only Current() is (any thread, any time).
   const std::shared_ptr<const GraphSnapshot> snap = writer_->Current();

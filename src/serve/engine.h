@@ -107,7 +107,11 @@ struct EngineStats {
   uint64_t cache_repaired = 0;     // ingest patches that re-relaxed labels
   uint64_t cache_fallback = 0;     // membership changed: invalidated for
                                    // full re-extraction
-  uint64_t cache_bytes = 0;
+  uint64_t cache_bytes = 0;  // subgraph payload only
+  // Touched-entity index: label + posting bytes (TouchedIndex::bytes)
+  // and full sweeps of its stale postings.
+  uint64_t index_bytes = 0;
+  uint64_t index_sweeps = 0;
   uint64_t graph_triples = 0;
   uint64_t graph_entities = 0;
   uint64_t ingested_triples = 0;

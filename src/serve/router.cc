@@ -90,6 +90,8 @@ EngineStats Router::Stats() const {
     total.cache_repaired += one.cache_repaired;
     total.cache_fallback += one.cache_fallback;
     total.cache_bytes += one.cache_bytes;
+    total.index_bytes += one.index_bytes;
+    total.index_sweeps += one.index_sweeps;
     total.memo_hits += one.memo_hits;
     total.memo_misses += one.memo_misses;
     total.memo_entries += one.memo_entries;

@@ -1,18 +1,28 @@
 #include "serve/touched_index.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace dekg::serve {
 
+namespace {
+
+int64_t LabelBytes(const TouchedLabels& labels) {
+  return static_cast<int64_t>(
+      labels.entities.capacity() * sizeof(EntityId) +
+      labels.dist_head.capacity() * sizeof(int8_t) +
+      labels.dist_tail.capacity() * sizeof(int8_t));
+}
+
+}  // namespace
+
 void TouchedIndex::Add(const Triple& key, TouchedLabels labels) {
   const auto [it, fresh] = slot_of_.try_emplace(key, 0);
   DEKG_CHECK(fresh) << "TouchedIndex::Add: key already resident";
   if (free_slots_.empty()) {
-    DEKG_CHECK_LT(slots_.size(), std::numeric_limits<uint32_t>::max());
+    DEKG_CHECK_LT(slots_.size(), kMaxSlots);
     it->second = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
   } else {
@@ -21,13 +31,19 @@ void TouchedIndex::Add(const Triple& key, TouchedLabels labels) {
   }
   Slot& slot = slots_[it->second];
   slot.key = key;
-  const Posting posting{it->second, slot.generation};
+  const Posting posting = it->second | uint32_t{slot.generation} << 24;
+  size_t grown = 0;  // posting capacity added
   for (const EntityId e : labels.entities) {
     const size_t i = static_cast<size_t>(e);
     if (i >= postings_.size()) postings_.resize(i + 1);
-    postings_[i].push_back(posting);
+    std::vector<Posting>& list = postings_[i];
+    const size_t capacity = list.capacity();
+    list.push_back(posting);
+    grown += list.capacity() - capacity;
   }
+  posting_bytes_ += static_cast<int64_t>(grown * sizeof(Posting));
   live_ += static_cast<int64_t>(labels.entities.size());
+  label_bytes_ += LabelBytes(labels);
   slot.labels = std::move(labels);
 }
 
@@ -37,15 +53,18 @@ bool TouchedIndex::Remove(const Triple& key) {
   const uint32_t s = it->second;
   slot_of_.erase(it);
   Slot& slot = slots_[s];
-  // Sweep before the generation wraps (see the header comment).
-  if (slot.generation == std::numeric_limits<uint32_t>::max()) Sweep();
-  ++slot.generation;
   const int64_t posted = static_cast<int64_t>(slot.labels.entities.size());
+  label_bytes_ -= LabelBytes(slot.labels);
   slot.labels = TouchedLabels{};
   free_slots_.push_back(s);
   live_ -= posted;
   stale_ += posted;
-  if (stale_ > live_ + kSweepSlack) Sweep();
+  // Sweep right after a wrapping bump, so the slot leaves the wrap with
+  // no postings (see the header comment).
+  if (++slot.generation == slot.swept_generation ||
+      stale_ > live_ + kSweepSlack) {
+    Sweep(s);
+  }
   return true;
 }
 
@@ -67,10 +86,10 @@ std::vector<Triple> TouchedIndex::Affected(
     if (i >= postings_.size()) continue;  // nothing ever posted under e
     std::vector<Posting>& list = postings_[i];
     size_t kept = 0;
-    for (const Posting& p : list) {
+    for (const Posting p : list) {
       if (!Live(p)) continue;
       list[kept++] = p;
-      Slot& slot = slots_[p.slot];
+      Slot& slot = slots_[p & kSlotMask];
       if (slot.seen == query_) continue;
       slot.seen = query_;
       out.push_back(slot.key);
@@ -81,13 +100,17 @@ std::vector<Triple> TouchedIndex::Affected(
   return out;
 }
 
-void TouchedIndex::Sweep() {
+void TouchedIndex::Sweep(uint32_t freed) {
   for (std::vector<Posting>& list : postings_) {
     list.erase(std::remove_if(list.begin(), list.end(),
-                              [this](const Posting& p) { return !Live(p); }),
+                              [this, freed](Posting p) {
+                                return !Live(p) || (p & kSlotMask) == freed;
+                              }),
                list.end());
   }
+  for (Slot& slot : slots_) slot.swept_generation = slot.generation;
   stale_ = 0;
+  ++sweeps_;
 }
 
 }  // namespace dekg::serve

@@ -2,9 +2,11 @@
 // §13): the sparse labels of every resident key and, inverted, the
 // resident keys whose touched set holds each entity.
 //
-// Each resident key owns a dense slot {key, generation, labels}. The
-// inverse is one flat vector of 8-byte postings {slot, generation} per
-// entity, indexed by EntityId. A posting is live iff its generation
+// Each resident key owns a dense slot {key, generation, labels}; its
+// labels take 6 bytes per touched entity (a 4-byte EntityId and two
+// one-byte distances). The inverse is one flat vector of 4-byte postings
+// per entity, indexed by EntityId: a posting packs a 24-bit slot and
+// that slot's 8-bit generation. A posting is live iff its generation
 // equals its slot's. Add appends one posting per touched entity; Remove
 // bumps the slot's generation and frees the slot in O(1), leaving its
 // postings stale, so a later key that reuses the slot is never reported
@@ -13,10 +15,15 @@
 // full O(entities + postings) sweep drops them all, so postings stay
 // within about twice the live count.
 //
-// A 32-bit generation cannot alias: before a slot's generation wraps,
-// Remove runs a full sweep first. That leaves only the slot's
-// current-generation postings, which the wrap turns stale, so no posting
-// carries the generation the slot restarts at.
+// An 8-bit generation cannot alias. A slot's stale postings carry only
+// generations it has held since the last full sweep, so a posting can
+// read live again only once the slot's generation wraps back to its
+// value at that sweep, 256 bumps later. Remove runs a full sweep right
+// after that wrapping bump and drops every posting naming the slot,
+// which is free then, so the slot leaves the wrap with no postings at
+// all. A sweep restarts every slot's count, so slots that FIFO eviction
+// reuses round-robin, and that therefore wrap together, share one sweep
+// per 256 rounds rather than running one each.
 //
 // Not thread-safe; the engine calls it from one thread at a time.
 #ifndef DEKG_SERVE_TOUCHED_INDEX_H_
@@ -35,6 +42,8 @@ class TouchedIndex {
  public:
   // Stale postings tolerated beyond the live count before a full sweep.
   static constexpr int64_t kSweepSlack = 4096;
+  // Slots a posting can name (its low 24 bits).
+  static constexpr uint32_t kMaxSlots = 1u << 24;
 
   // Records `labels` for `key`, which must not be resident, and posts
   // the key under each entity of labels.entities.
@@ -44,8 +53,9 @@ class TouchedIndex {
   // sweep). Returns false when `key` is not resident.
   bool Remove(const Triple& key);
 
-  // The labels of a resident key, or null. The pointer is valid until
-  // the next Add, or the next Remove of this key.
+  // The labels of a resident key, or null, for in-place patching that
+  // keeps every vector's size. The pointer is valid until the next Add,
+  // or the next Remove of this key.
   TouchedLabels* Find(const Triple& key);
 
   // Every resident key whose touched set holds one of `entities`, each
@@ -56,24 +66,31 @@ class TouchedIndex {
   int64_t size() const { return static_cast<int64_t>(slot_of_.size()); }
   int64_t live_postings() const { return live_; }
   int64_t stale_postings() const { return stale_; }
+  // Full sweeps run so far, by the slack bound or by a generation wrap.
+  int64_t sweeps() const { return sweeps_; }
+  // Allocated bytes of the resident keys' label vectors plus every
+  // entity's posting list (capacities, not sizes). The fixed-size slot
+  // array, list headers and key map are not counted.
+  int64_t bytes() const { return label_bytes_ + posting_bytes_; }
 
  private:
   struct Slot {
     Triple key;
-    uint32_t generation = 0;
+    uint8_t generation = 0;
+    uint8_t swept_generation = 0;  // generation at the last full sweep
     uint32_t seen = 0;  // last Affected query that reported this slot
     TouchedLabels labels;
   };
-  struct Posting {
-    uint32_t slot = 0;
-    uint32_t generation = 0;
-  };
+  // Slot in the low 24 bits, the slot's generation in the high 8.
+  using Posting = uint32_t;
+  static constexpr uint32_t kSlotMask = kMaxSlots - 1;
 
-  bool Live(const Posting& p) const {
-    return slots_[p.slot].generation == p.generation;
+  bool Live(Posting p) const {
+    return uint32_t{slots_[p & kSlotMask].generation} == p >> 24;
   }
-  // Drops every stale posting.
-  void Sweep();
+  // Drops every stale posting and every posting of `freed`, a slot Remove
+  // just freed, and restarts every slot's wrap count.
+  void Sweep(uint32_t freed);
 
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
@@ -82,6 +99,9 @@ class TouchedIndex {
   uint32_t query_ = 0;  // stamp of the last Affected call
   int64_t live_ = 0;
   int64_t stale_ = 0;
+  int64_t sweeps_ = 0;
+  int64_t label_bytes_ = 0;
+  int64_t posting_bytes_ = 0;
 };
 
 }  // namespace dekg::serve

@@ -226,9 +226,11 @@ TEST(GraphTrainerTest, TrainsTactLossDown) {
   core::Trainer trainer(
       &model, &dataset, train,
       core::MarginLoss(&dataset, train.negatives_per_positive,
-                       [&](const Triple& t, const Subgraph*, Rng* rng) {
-                         return model.ScoreLink(graph, t, true, rng);
-                       }));
+                       [&](const Triple& t, const Subgraph* subgraph,
+                           Rng* rng) {
+                         return model.ScoreLink(graph, t, true, rng, subgraph);
+                       }),
+      model.gsm());
   std::vector<double> losses = trainer.Train();
   EXPECT_EQ(losses.size(), 12u);
   EXPECT_LT(losses.back(), losses.front());

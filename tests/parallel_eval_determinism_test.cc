@@ -2,9 +2,11 @@
 // produce bit-identical metrics and rank lists at 1, 2, and 8 threads,
 // both for a cheap scripted predictor and for the real DEKG-ILP model
 // (whose scoring path exercises parallel subgraph extraction, the R-GCN
-// forward pass, and the parallel tensor kernels underneath).
+// forward pass, and the parallel tensor kernels underneath), and at 1
+// and 4 threads for Neural LP (whose scores share one operator cache).
 #include <gtest/gtest.h>
 
+#include "baselines/neural_lp.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/dekg_ilp.h"
@@ -110,6 +112,28 @@ TEST(ParallelEvalDeterminismTest, DekgIlpModelIdenticalAt128Threads) {
   ASSERT_GT(one.overall.num_tasks, 0);
   ExpectBitIdentical(one, two);
   ExpectBitIdentical(one, eight);
+}
+
+TEST(ParallelEvalDeterminismTest, NeuralLpIdenticalAt1And4Threads) {
+  DekgDataset dataset = SyntheticDataset();
+  baselines::NeuralLpConfig model_config;
+  model_config.num_relations = dataset.num_relations();
+  baselines::NeuralLp model(model_config, /*seed=*/5);
+  ASSERT_TRUE(model.SupportsConcurrentScoring());
+
+  EvalConfig config;
+  config.num_entity_negatives = 6;
+  config.max_links = 12;
+  config.collect_ranks = true;
+
+  config.num_threads = 1;
+  EvalResult one = Evaluate(&model, dataset, config);
+  config.num_threads = 4;
+  EvalResult four = Evaluate(&model, dataset, config);
+
+  ASSERT_GT(one.overall.num_tasks, 0);
+  EXPECT_EQ(GoldenSummary(one), GoldenSummary(four));
+  ExpectBitIdentical(one, four);
 }
 
 TEST(ParallelEvalDeterminismTest, WorkspaceExtractionMatchesPlain) {

@@ -69,12 +69,14 @@ KnowledgeGraph WithTriples(const KnowledgeGraph& g,
 }
 
 // The fresh blocked-BFS field restricted to `entities`.
-std::vector<int32_t> FreshRestricted(const KnowledgeGraph& g, EntityId source,
-                                     EntityId blocked, int32_t max_depth,
-                                     const std::vector<EntityId>& entities) {
+std::vector<int8_t> FreshRestricted(const KnowledgeGraph& g, EntityId source,
+                                    EntityId blocked, int32_t max_depth,
+                                    const std::vector<EntityId>& entities) {
   const std::vector<int32_t> full = BfsDistances(g, source, blocked, max_depth);
-  std::vector<int32_t> out;
-  for (EntityId e : entities) out.push_back(full[static_cast<size_t>(e)]);
+  std::vector<int8_t> out;
+  for (EntityId e : entities) {
+    out.push_back(static_cast<int8_t>(full[static_cast<size_t>(e)]));
+  }
   return out;
 }
 

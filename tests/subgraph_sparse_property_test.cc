@@ -191,8 +191,10 @@ TEST(SubgraphSparseProperty, TouchedLabelsMatchDenseDerivedReference) {
         continue;
       }
       dense.entities.push_back(u);
-      dense.dist_head.push_back(dh[static_cast<size_t>(u)]);
-      dense.dist_tail.push_back(dt[static_cast<size_t>(u)]);
+      dense.dist_head.push_back(
+          static_cast<int8_t>(dh[static_cast<size_t>(u)]));
+      dense.dist_tail.push_back(
+          static_cast<int8_t>(dt[static_cast<size_t>(u)]));
     }
     ASSERT_EQ(sparse.entities, dense.entities);
     ASSERT_EQ(sparse.dist_head, dense.dist_head);

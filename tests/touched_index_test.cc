@@ -4,7 +4,8 @@
 // the affected set of a random endpoint set must equal the reference's
 // exactly (no stale slot reported, no live key missed, no key twice), the
 // labels and counts must match, and stale postings must stay within the
-// sweep bound.
+// sweep bound. A second schedule cycles one slot through several wraps of
+// its 8-bit generation, and bytes() is checked against a hand count.
 #include "serve/touched_index.h"
 
 #include <gtest/gtest.h>
@@ -33,8 +34,8 @@ TouchedLabels LabelsFor(const std::set<EntityId>& entities) {
   TouchedLabels labels;
   for (const EntityId e : entities) {
     labels.entities.push_back(e);
-    labels.dist_head.push_back(e % 3);
-    labels.dist_tail.push_back(e % 5);
+    labels.dist_head.push_back(static_cast<int8_t>(e % 3));
+    labels.dist_tail.push_back(static_cast<int8_t>(e % 5));
   }
   return labels;
 }
@@ -80,6 +81,83 @@ TEST(TouchedIndexTest, ReusedSlotDoesNotInheritStalePostings) {
   EXPECT_EQ(index.stale_postings(), 0);
 }
 
+// One slot cycled through three wraps of its 8-bit generation. Occupant k
+// touches the three entities of block k mod 257, so it shares none with
+// occupant k - 1, nor with occupant k - 256, which held the same
+// generation one wrap earlier. Queries scan only those two blocks, so a
+// posting that outlived a wrap stays unscanned until its generation comes
+// round again. A sweep run before the wrapping bump keeps occupant 255's
+// postings, which then report occupant 511 through block 255; a sweep
+// after it that drops only postings of another generation keeps occupant
+// 0's, which report occupant 256 through block 0.
+TEST(TouchedIndexTest, GenerationWrapNeverRevivesStalePostings) {
+  constexpr int32_t kBlocks = 257;
+  constexpr int32_t kOccupants = 3 * 256 + 1;
+  const auto block = [](int32_t k) {
+    const EntityId first = static_cast<EntityId>(k % kBlocks * 3);
+    return std::set<EntityId>{first, first + 1, first + 2};
+  };
+  const auto query = [](const std::set<EntityId>& entities) {
+    return std::vector<EntityId>(entities.begin(), entities.end());
+  };
+  TouchedIndex index;
+  Reference ref;
+  for (int32_t k = 0; k < kOccupants; ++k) {
+    const Triple key{k, 0, k + 1};
+    index.Add(key, LabelsFor(block(k)));
+    ref.emplace(key, block(k));
+    ASSERT_EQ(index.Affected(query(block(k))),
+              ReferenceAffected(ref, query(block(k))))
+        << "occupant " << k;
+    if (k >= 256) {
+      ASSERT_EQ(index.Affected(query(block(k - 256))),
+                ReferenceAffected(ref, query(block(k - 256))))
+          << "occupant " << k << " revived a posting of occupant " << k - 256;
+    }
+    ASSERT_TRUE(index.Remove(key));
+    ref.erase(key);
+    ASSERT_EQ(index.size(), 0);
+    ASSERT_EQ(index.live_postings(), 0);
+    // Two or three stale postings per occupant never reach the slack, so
+    // every sweep is a wrap sweep, and the slot leaves each wrap with no
+    // postings at all.
+    ASSERT_EQ(index.sweeps(), (k + 1) / 256) << "occupant " << k;
+    if (k % 256 == 255) {
+      ASSERT_EQ(index.stale_postings(), 0) << "occupant " << k;
+    }
+  }
+  EXPECT_EQ(index.sweeps(), 3);
+}
+
+// bytes() counts capacities: 6 label bytes per touched entity of a
+// resident key and 4 bytes per allocated posting.
+TEST(TouchedIndexTest, BytesMatchHandCount) {
+  const auto labels = [](std::vector<EntityId> entities) {
+    TouchedLabels out;
+    out.dist_head = std::vector<int8_t>(entities.size(), 1);
+    out.dist_tail = std::vector<int8_t>(entities.size(), 2);
+    out.entities = std::move(entities);
+    return out;
+  };
+  TouchedIndex index;
+  EXPECT_EQ(index.bytes(), 0);
+  index.Add({1, 0, 2}, labels({1, 2, 7}));
+  EXPECT_EQ(index.bytes(), 3 * 6 + 3 * 4);
+  // Lists 2 and 7 grow to two postings, list 9 holds one.
+  const Triple b{3, 0, 4};
+  index.Add(b, labels({2, 7, 9}));
+  EXPECT_EQ(index.bytes(), 6 * 6 + 6 * 4);
+  // Removing frees the labels; the stale postings keep their room.
+  EXPECT_TRUE(index.Remove({1, 0, 2}));
+  EXPECT_EQ(index.bytes(), 3 * 6 + 6 * 4);
+  // A scan drops the stale postings and keeps the capacity, which the
+  // next key's postings under 2 and 7 reuse.
+  EXPECT_EQ(index.Affected({1, 2, 7}), std::vector<Triple>{b});
+  index.Add({5, 0, 6}, labels({2, 7}));
+  EXPECT_EQ(index.bytes(), 5 * 6 + 6 * 4);
+  EXPECT_EQ(index.sweeps(), 0);
+}
+
 TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
   constexpr int32_t kEntities = 48;
   constexpr int32_t kKeyPool = 160;
@@ -87,6 +165,7 @@ TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
   TouchedIndex index;
   Reference ref;
   int64_t sweeps = 0;
+  int64_t wrap_sweeps = 0;
   int64_t reused_adds = 0;
   std::set<Triple, TripleLess> ever_added;
 
@@ -97,11 +176,16 @@ TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
                   static_cast<EntityId>(k / 3 % kEntities)};
   };
 
-  for (int32_t phase = 0; phase < 8; ++phase) {
+  for (int32_t phase = 0; phase < 10; ++phase) {
     // Even phases only add and remove, so stale postings pile up until a
-    // sweep runs; odd phases query often, so scans compact them.
+    // sweep runs; odd phases query often, so scans compact them. The last
+    // two phases mostly remove, so the few resident keys cycle a few slots
+    // through many generations, and in the querying one a slot wraps
+    // before the slack forces a sweep.
     const double query_share = phase % 2 == 0 ? 0.0 : 0.4;
-    for (int32_t step = 0; step < 900; ++step) {
+    const double add_share = phase < 8 ? 0.55 : 0.2;
+    const int32_t steps = phase < 9 ? 900 : 12000;
+    for (int32_t step = 0; step < steps; ++step) {
       const double op = rng.UniformDouble();
       if (op < query_share) {
         std::vector<EntityId> query;
@@ -117,7 +201,7 @@ TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
             << "a key reported twice, phase " << phase << " step " << step;
         ASSERT_EQ(got, ReferenceAffected(ref, query))
             << "phase " << phase << " step " << step;
-      } else if (op < query_share + (1.0 - query_share) * 0.55) {
+      } else if (op < query_share + (1.0 - query_share) * add_share) {
         const Triple key = random_key();
         if (ref.count(key) != 0) continue;
         std::set<EntityId> entities;
@@ -142,9 +226,21 @@ TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
         const int64_t posted =
             it == ref.end() ? 0 : static_cast<int64_t>(it->second.size());
         const int64_t stale_before = index.stale_postings();
+        const int64_t sweeps_before = index.sweeps();
         ASSERT_EQ(index.Remove(key), it != ref.end());
         if (it != ref.end()) ref.erase(it);
-        if (index.stale_postings() != stale_before + posted) ++sweeps;
+        ASSERT_LE(index.sweeps(), sweeps_before + 1);
+        if (index.sweeps() != sweeps_before) {
+          ++sweeps;
+          ASSERT_EQ(index.stale_postings(), 0);
+          // Within the slack, only a generation wrap sweeps.
+          if (stale_before + posted <=
+              index.live_postings() + TouchedIndex::kSweepSlack) {
+            ++wrap_sweeps;
+          }
+        } else {
+          ASSERT_EQ(index.stale_postings(), stale_before + posted);
+        }
       }
 
       ASSERT_EQ(index.size(), static_cast<int64_t>(ref.size()));
@@ -163,9 +259,12 @@ TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
       EXPECT_EQ(labels->dist_tail, want.dist_tail);
     }
   }
-  // The schedule must have reused keys (and so slots) and swept.
+  // The schedule must have reused keys (and so slots), swept, and
+  // wrapped a generation.
   EXPECT_GT(reused_adds, 0);
   EXPECT_GT(sweeps, 0);
+  EXPECT_GT(wrap_sweeps, 0);
+  EXPECT_EQ(index.sweeps(), sweeps);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // combination, and across a checkpoint resume under parallelism (including
 // a save hit by an injected fault). TACT and Neural LP, which train
 // through the same core::Trainer loop, join the thread sweep and the
-// resume case. Also pins the SampleNegativeTriple fallback invariants on
-// graphs dense enough to defeat filtered sampling.
+// resume case, and TACT the subgraph-cache checks. Also pins the
+// SampleNegativeTriple fallback invariants on graphs dense enough to
+// defeat filtered sampling.
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -70,6 +71,8 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
   enum class Kind { kDekgIlp, kTact, kNeuralLp };
   static constexpr Kind kKinds[] = {Kind::kDekgIlp, Kind::kTact,
                                     Kind::kNeuralLp};
+  // The models whose trainer gets a GSM, and so caches positive subgraphs.
+  static constexpr Kind kCachingKinds[] = {Kind::kDekgIlp, Kind::kTact};
 
   // A fresh model of `kind` (same seed every time) and its trainer.
   struct Setup {
@@ -101,10 +104,12 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
         setup.trainer = std::make_unique<core::Trainer>(
             m, dataset_, train,
             core::MarginLoss(dataset_, train.negatives_per_positive,
-                             [m, graph](const Triple& t, const Subgraph*,
-                                        Rng* rng) {
-                               return m->ScoreLink(*graph, t, true, rng);
-                             }));
+                             [m, graph](const Triple& t,
+                                        const Subgraph* subgraph, Rng* rng) {
+                               return m->ScoreLink(*graph, t, true, rng,
+                                                   subgraph);
+                             }),
+            m->gsm());
         setup.predictor = m;
         setup.module = std::move(model);
         break;
@@ -199,38 +204,45 @@ TEST_F(TrainerParallelDeterminismTest, SparseOptimizerIsBitIdenticalToDense) {
 }
 
 TEST_F(TrainerParallelDeterminismTest, SubgraphCacheIsNumericallyTransparent) {
-  core::TrainConfig uncached = BaseTrain();
-  uncached.num_threads = 2;
-  uncached.use_subgraph_cache = false;
-  const RunResult reference = Run(uncached);
+  for (Kind kind : kCachingKinds) {
+    SCOPED_TRACE(KindName(kind));
+    core::TrainConfig uncached = BaseTrain();
+    uncached.num_threads = 2;
+    uncached.use_subgraph_cache = false;
+    const RunResult reference = Run(uncached, kind);
 
-  core::TrainConfig cached = BaseTrain();
-  cached.num_threads = 2;
-  cached.use_subgraph_cache = true;
-  ExpectSameRun(reference, Run(cached), "cache-on");
+    core::TrainConfig cached = BaseTrain();
+    cached.num_threads = 2;
+    cached.use_subgraph_cache = true;
+    ExpectSameRun(reference, Run(cached, kind), "cache-on");
 
-  // A capacity small enough to thrash (evictions mid-prefill) must not
-  // change a bit either — evicted entries are served from the extraction
-  // buffer or re-extracted, never skipped.
-  core::TrainConfig tiny = cached;
-  tiny.subgraph_cache_capacity = 4;
-  ExpectSameRun(reference, Run(tiny), "cache-tiny-capacity");
+    // A capacity small enough to thrash (evictions mid-prefill) must not
+    // change a bit either — evicted entries are served from the
+    // extraction buffer or re-extracted, never skipped.
+    core::TrainConfig tiny = cached;
+    tiny.subgraph_cache_capacity = 4;
+    ExpectSameRun(reference, Run(tiny, kind), "cache-tiny-capacity");
+  }
 }
 
 TEST_F(TrainerParallelDeterminismTest, CacheHitRateIsPerfectFromSecondEpoch) {
   core::TrainConfig train = BaseTrain();
   train.num_threads = 2;
   train.max_triples_per_epoch = 0;  // every epoch visits the same triples
-  core::DekgIlpModel model(ModelConfig(), 7);
-  core::DekgIlpTrainer trainer(&model, dataset_, train);
-  trainer.TrainEpoch();
-  const auto first = trainer.subgraph_cache().stats();
-  EXPECT_EQ(first.hits, 0);
-  EXPECT_GT(first.misses, 0);
-  trainer.TrainEpoch();
-  const auto second = trainer.subgraph_cache().stats();
-  EXPECT_EQ(second.misses, 0) << "epoch 2 should be served fully from cache";
-  EXPECT_EQ(second.hits, first.misses);
+  const int64_t positives =
+      static_cast<int64_t>(dataset_->train_triples().size());
+  for (Kind kind : kCachingKinds) {
+    SCOPED_TRACE(KindName(kind));
+    Setup setup = MakeSetup(kind, train);
+    setup.trainer->TrainEpoch();
+    const auto first = setup.trainer->subgraph_cache().stats();
+    EXPECT_EQ(first.hits, 0);
+    EXPECT_EQ(first.misses, positives);
+    setup.trainer->TrainEpoch();
+    const auto second = setup.trainer->subgraph_cache().stats();
+    EXPECT_EQ(second.misses, 0) << "epoch 2 should be served fully from cache";
+    EXPECT_EQ(second.hits, positives);
+  }
 }
 
 TEST_F(TrainerParallelDeterminismTest, ResumeUnderParallelismIsBitIdentical) {

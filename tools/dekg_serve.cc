@@ -215,12 +215,15 @@ int main(int argc, char** argv) {
 
   const serve::EngineStats stats = router.Stats();
   std::printf("drained: %llu ingested (epoch %llu), cache %llu hits / "
-              "%llu misses, %llu invalidated\n",
+              "%llu misses, %llu invalidated, touched index %.2f MB "
+              "(%llu sweeps)\n",
               static_cast<unsigned long long>(stats.ingested_triples),
               static_cast<unsigned long long>(router.epoch()),
               static_cast<unsigned long long>(stats.cache_hits),
               static_cast<unsigned long long>(stats.cache_misses),
-              static_cast<unsigned long long>(stats.cache_invalidated));
+              static_cast<unsigned long long>(stats.cache_invalidated),
+              static_cast<double>(stats.index_bytes) / 1e6,
+              static_cast<unsigned long long>(stats.index_sweeps));
   for (int32_t s = 0; s < router.num_shards(); ++s) {
     const serve::EngineStats one = router.ShardStats(s);
     std::printf("  shard %d: %llu hits / %llu misses, %llu patched, "
