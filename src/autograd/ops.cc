@@ -66,18 +66,6 @@ Var Mul(const Var& a, const Var& b) {
   });
 }
 
-Var Div(const Var& a, const Var& b) {
-  return MakeNode(dekg::Div(a.value(), b.value()), {a, b}, [](VarImpl* n) {
-    const Tensor& av = n->parents[0]->value;
-    const Tensor& bv = n->parents[1]->value;
-    // d/da = g / b ; d/db = -g * a / b^2
-    AccumulateBroadcastAware(n, 0, dekg::Div(n->grad, bv));
-    Tensor gb = dekg::Neg(
-        dekg::Div(dekg::Mul(n->grad, av), dekg::Mul(bv, bv)));
-    AccumulateBroadcastAware(n, 1, gb);
-  });
-}
-
 Var AddScalar(const Var& a, float s) {
   return Add(a, Var::Constant(Tensor::Scalar(s)));
 }
@@ -104,28 +92,6 @@ Var Relu(const Var& a) {
   });
 }
 
-Var LeakyRelu(const Var& a, float slope) {
-  Tensor out(a.value().shape());
-  {
-    const float* pa = a.value().Data();
-    float* po = out.Data();
-    for (int64_t i = 0; i < out.numel(); ++i) {
-      po[i] = pa[i] > 0.0f ? pa[i] : slope * pa[i];
-    }
-  }
-  return MakeNode(std::move(out), {a}, [slope](VarImpl* n) {
-    const Tensor& av = n->parents[0]->value;
-    Tensor g(n->grad.shape());
-    const float* pa = av.Data();
-    const float* pg = n->grad.Data();
-    float* po = g.Data();
-    for (int64_t i = 0; i < g.numel(); ++i) {
-      po[i] = pa[i] > 0.0f ? pg[i] : slope * pg[i];
-    }
-    Accumulate(n, 0, g);
-  });
-}
-
 Var Sigmoid(const Var& a) {
   Tensor y = dekg::Sigmoid(a.value());
   return MakeNode(y, {a}, [y](VarImpl* n) {
@@ -148,13 +114,6 @@ Var Tanh(const Var& a) {
     float* po = g.Data();
     for (int64_t i = 0; i < g.numel(); ++i) po[i] = pg[i] * (1.0f - py[i] * py[i]);
     Accumulate(n, 0, g);
-  });
-}
-
-Var Exp(const Var& a) {
-  Tensor y = dekg::Exp(a.value());
-  return MakeNode(y, {a}, [y](VarImpl* n) {
-    Accumulate(n, 0, dekg::Mul(n->grad, y));
   });
 }
 
@@ -228,20 +187,6 @@ Var Square(const Var& a) {
   });
 }
 
-Var Abs(const Var& a) {
-  return MakeNode(dekg::Abs(a.value()), {a}, [](VarImpl* n) {
-    const Tensor& av = n->parents[0]->value;
-    Tensor g(n->grad.shape());
-    const float* pa = av.Data();
-    const float* pg = n->grad.Data();
-    float* po = g.Data();
-    for (int64_t i = 0; i < g.numel(); ++i) {
-      po[i] = pa[i] > 0.0f ? pg[i] : (pa[i] < 0.0f ? -pg[i] : 0.0f);
-    }
-    Accumulate(n, 0, g);
-  });
-}
-
 Var MatMul(const Var& a, const Var& b) {
   return MakeNode(dekg::MatMul(a.value(), b.value()), {a, b}, [](VarImpl* n) {
     const Tensor& av = n->parents[0]->value;
@@ -256,12 +201,6 @@ Var MatMul(const Var& a, const Var& b) {
   });
 }
 
-Var Transpose(const Var& a) {
-  return MakeNode(dekg::Transpose(a.value()), {a}, [](VarImpl* n) {
-    Accumulate(n, 0, dekg::Transpose(n->grad));
-  });
-}
-
 Var SumAll(const Var& a) {
   return MakeNode(Tensor::Scalar(dekg::SumAll(a.value())), {a},
                   [](VarImpl* n) {
@@ -269,11 +208,6 @@ Var SumAll(const Var& a) {
                     Accumulate(n, 0,
                                Tensor::Full(n->parents[0]->value.shape(), g));
                   });
-}
-
-Var MeanAll(const Var& a) {
-  const float inv = 1.0f / static_cast<float>(a.value().numel());
-  return MulScalar(SumAll(a), inv);
 }
 
 Var SumRows(const Var& a) {
@@ -289,12 +223,6 @@ Var SumRows(const Var& a) {
     }
     Accumulate(n, 0, g);
   });
-}
-
-Var MeanRows(const Var& a) {
-  DEKG_CHECK_EQ(a.value().rank(), 2u);
-  const float inv = 1.0f / static_cast<float>(a.value().dim(1));
-  return MulScalar(SumRows(a), inv);
 }
 
 Var MeanOverRows(const Var& a) {
@@ -403,50 +331,6 @@ Var ScaleRows(const Var& a, const Var& s) {
   });
 }
 
-namespace {
-
-// Column-wise per-segment reduction. The forward is the tensor-level
-// kernel (dekg::Segment{Sum,Mean}Rows), whose accumulation order keeps
-// per-segment results bit-identical to SumCols / MeanOverRows on each row
-// block alone — the packed inference path calls the same kernel directly.
-Var SegmentReduceRows(const Var& a, const std::vector<int64_t>& offsets,
-                      bool scale_by_len) {
-  Tensor fwd = scale_by_len ? dekg::SegmentMeanRows(a.value(), offsets)
-                            : dekg::SegmentSumRows(a.value(), offsets);
-  return MakeNode(std::move(fwd), {a}, [offsets, scale_by_len](VarImpl* n) {
-    if (!n->parents[0]->requires_grad) return;
-    const int64_t num_segments = static_cast<int64_t>(offsets.size()) - 1;
-    const int64_t cols = n->grad.dim(1);
-    Tensor g(n->parents[0]->value.shape());
-    const float* pg = n->grad.Data();
-    float* po = g.Data();
-    for (int64_t s = 0; s < num_segments; ++s) {
-      const float inv =
-          scale_by_len
-              ? 1.0f / static_cast<float>(offsets[static_cast<size_t>(s) + 1] -
-                                          offsets[static_cast<size_t>(s)])
-              : 1.0f;
-      for (int64_t i = offsets[static_cast<size_t>(s)];
-           i < offsets[static_cast<size_t>(s) + 1]; ++i) {
-        for (int64_t j = 0; j < cols; ++j) {
-          po[i * cols + j] = pg[s * cols + j] * inv;
-        }
-      }
-    }
-    Accumulate(n, 0, g);
-  });
-}
-
-}  // namespace
-
-Var SegmentSumRows(const Var& a, const std::vector<int64_t>& offsets) {
-  return SegmentReduceRows(a, offsets, /*scale_by_len=*/false);
-}
-
-Var SegmentMeanRows(const Var& a, const std::vector<int64_t>& offsets) {
-  return SegmentReduceRows(a, offsets, /*scale_by_len=*/true);
-}
-
 Var Concat(const std::vector<Var>& parts, int axis) {
   DEKG_CHECK(!parts.empty());
   std::vector<Tensor> values;
@@ -511,17 +395,6 @@ Var Reshape(const Var& a, Shape new_shape) {
                   });
 }
 
-Var Dropout(const Var& a, float p, bool training, Rng* rng) {
-  if (!training || p <= 0.0f) return a;
-  DEKG_CHECK_LT(p, 1.0f);
-  Tensor mask(a.value().shape());
-  const float scale = 1.0f / (1.0f - p);
-  for (int64_t i = 0; i < mask.numel(); ++i) {
-    mask.Data()[i] = rng->Bernoulli(p) ? 0.0f : scale;
-  }
-  return Mul(a, Var::Constant(mask));
-}
-
 Var Conv2d(const Var& input, const Var& kernel) {
   Tensor fwd = dekg::Conv2d(input.value(), kernel.value());
   return MakeNode(fwd, {input, kernel}, [](VarImpl* n) {
@@ -582,23 +455,6 @@ Var Conv2d(const Var& input, const Var& kernel) {
       n->parents[1]->AccumulateGrad(gk);
     }
   });
-}
-
-Var RowSquaredDistance(const Var& a, const Var& b) {
-  return SumRows(Square(Sub(a, b)));
-}
-
-Var BceWithLogits(const Var& logits, const Tensor& targets) {
-  DEKG_CHECK(logits.value().SameShape(targets));
-  // loss = mean( max(x,0) - x*t + log(1 + exp(-|x|)) ), the numerically
-  // stable formulation. Composed from primitive differentiable ops.
-  Var x = logits;
-  Var t = Var::Constant(targets);
-  Var max_part = Relu(x);
-  Var xt = Mul(x, t);
-  Var softplus = Log(AddScalar(Exp(Neg(Abs(x))), 1.0f));
-  Var per_elem = Add(Sub(max_part, xt), softplus);
-  return MeanAll(per_elem);
 }
 
 }  // namespace dekg::ag

@@ -495,106 +495,45 @@ bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
   return true;
 }
 
-SubgraphCache::SubgraphCache(int64_t capacity) : capacity_(capacity) {
-  DEKG_CHECK_GE(capacity, 0);
-}
-
-int64_t SubgraphCache::PayloadBytes(const Subgraph& s) {
+int64_t SubgraphPayloadBytes(const Subgraph& s) {
   return static_cast<int64_t>(s.nodes.size() * sizeof(SubgraphNode) +
                               s.edges.size() * sizeof(SubgraphEdge));
 }
 
+SubgraphCache::SubgraphCache(int64_t capacity) : capacity_(capacity) {
+  DEKG_CHECK_GE(capacity, 0);
+}
+
 const Subgraph* SubgraphCache::Lookup(const Triple& triple) {
-  auto it = map_.find(triple);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return it->second.subgraph.get();
+  const Subgraph* found = Find(triple);
+  ++(found != nullptr ? stats_.hits : stats_.misses);
+  return found;
 }
 
 const Subgraph* SubgraphCache::Find(const Triple& triple) const {
   auto it = map_.find(triple);
-  return it == map_.end() ? nullptr : it->second.subgraph.get();
+  return it == map_.end() ? nullptr : &it->second;
 }
 
-const Subgraph* SubgraphCache::Insert(const Triple& triple, Subgraph subgraph,
-                                      std::vector<Triple>* evicted) {
+const Subgraph* SubgraphCache::Insert(const Triple& triple, Subgraph subgraph) {
   auto it = map_.find(triple);
-  if (it != map_.end()) return it->second.subgraph.get();
-  while (capacity_ > 0 &&
-         static_cast<int64_t>(map_.size()) >= capacity_) {
-    // FIFO: retire the oldest resident insertion. Keys enter the queue
-    // exactly when they enter the map, but Erase() removes only the map
-    // entry. A stale queue slot — its key erased, or erased and later
-    // re-inserted under a newer sequence number — is skipped, so a
-    // re-inserted key ages from its re-insertion, never from the old slot.
-    DEKG_CHECK(!fifo_.empty());
-    const QueueSlot victim = fifo_.front();
+  if (it != map_.end()) return &it->second;
+  if (capacity_ > 0 && stats_.entries == capacity_) {
+    // FIFO: retire the oldest insertion. Every resident key is queued
+    // once and nothing else leaves the map, so the front is resident.
+    const auto victim = map_.find(fifo_.front());
     fifo_.pop_front();
-    auto vit = map_.find(victim.triple);
-    if (vit == map_.end() || vit->second.seq != victim.seq) continue;
-    stats_.bytes -= PayloadBytes(*vit->second.subgraph);
-    map_.erase(vit);
+    stats_.bytes -= SubgraphPayloadBytes(victim->second);
+    map_.erase(victim);
     ++stats_.evictions;
     --stats_.entries;
-    if (evicted != nullptr) evicted->push_back(victim.triple);
   }
-  Entry entry;
-  entry.subgraph = std::make_unique<Subgraph>(std::move(subgraph));
-  entry.seq = next_seq_++;
-  const Subgraph* stored = entry.subgraph.get();
-  stats_.bytes += PayloadBytes(*stored);
+  const Subgraph& stored =
+      map_.emplace(triple, std::move(subgraph)).first->second;
+  stats_.bytes += SubgraphPayloadBytes(stored);
   ++stats_.entries;
-  if (capacity_ > 0) fifo_.push_back(QueueSlot{triple, entry.seq});
-  map_.emplace(triple, std::move(entry));
-  // Only eviction needs the queue, so an unlimited cache keeps none.
-  // Erase() leaves stale slots behind; dropping them once they outnumber
-  // the live ones keeps the queue within about twice the resident count,
-  // each compaction paid for by the Erase calls that made its stale
-  // slots, and keeps the live slots' order (so the eviction order).
-  constexpr size_t kSlack = 16;
-  if (fifo_.size() > 2 * map_.size() + kSlack) {
-    fifo_.erase(std::remove_if(fifo_.begin(), fifo_.end(),
-                               [&](const QueueSlot& slot) {
-                                 auto live = map_.find(slot.triple);
-                                 return live == map_.end() ||
-                                        live->second.seq != slot.seq;
-                               }),
-                fifo_.end());
-  }
-  stats_.fifo_slots = static_cast<int64_t>(fifo_.size());
-  return stored;
-}
-
-const Subgraph* SubgraphCache::Replace(const Triple& triple,
-                                       Subgraph subgraph) {
-  auto it = map_.find(triple);
-  if (it == map_.end()) return nullptr;
-  stats_.bytes -= PayloadBytes(*it->second.subgraph);
-  // Move-assign behind the stable pointer: FIFO age and entry address are
-  // both preserved.
-  *it->second.subgraph = std::move(subgraph);
-  stats_.bytes += PayloadBytes(*it->second.subgraph);
-  return it->second.subgraph.get();
-}
-
-bool SubgraphCache::Erase(const Triple& triple) {
-  auto it = map_.find(triple);
-  if (it == map_.end()) return false;
-  stats_.bytes -= PayloadBytes(*it->second.subgraph);
-  map_.erase(it);
-  --stats_.entries;
-  return true;
-}
-
-void SubgraphCache::Clear() {
-  map_.clear();
-  fifo_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
-  stats_.fifo_slots = 0;
+  if (capacity_ > 0) fifo_.push_back(triple);
+  return &stored;
 }
 
 void SubgraphCache::ResetCounters() {

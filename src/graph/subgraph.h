@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -304,23 +303,22 @@ Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
                                  const TouchedLabels& labels,
                                  SubgraphWorkspace* workspace);
 
+// Bytes of a subgraph's node and edge arrays (sizes, not capacities): the
+// payload SubgraphCache and the serve shards' serve::ShardCache account.
+int64_t SubgraphPayloadBytes(const Subgraph& s);
+
 // Epoch-persistent cache of extracted subgraphs, keyed by the target
-// triple. Extraction is deterministic over an immutable graph, so a cached
-// subgraph is exactly what a fresh extraction would produce — serving from
-// the cache is numerically transparent. The cache is NOT thread-safe:
-// the training loop prefills it serially (from parallel-extracted results
-// in fixed index order) and serves it read-only during the epoch.
+// triple, for the training loop and Evaluate. Extraction is deterministic
+// over an immutable graph, so a cached subgraph is exactly what a fresh
+// extraction would produce — serving from the cache is numerically
+// transparent. The cache is NOT thread-safe: the training loop prefills
+// it serially (from parallel-extracted results in fixed index order) and
+// serves it read-only during the epoch.
 //
-// Eviction is FIFO over insertion order, which is deterministic because
-// insertion order is deterministic and each key is inserted at most once
-// while resident. Entry pointers are stable until that entry is evicted
-// (Replace() swaps the payload behind the same pointer). Queue entries
-// carry the insertion sequence number, so a key erased and later
-// re-inserted cannot retire early through its old queue occurrence — the
-// stale occurrence no longer matches the resident sequence and is skipped.
-// An unlimited cache keeps no queue; a bounded one drops its stale slots
-// once they outnumber the resident entries, so the queue stays within
-// about twice the resident count (amortized O(1) per operation).
+// Insert-only: nothing erases or replaces an entry, so a bounded cache
+// evicts FIFO over insertion order from a plain queue of its resident
+// keys, deterministic because insertion order is. An entry's address is
+// stable until it is evicted (map nodes do not move on rehash).
 class SubgraphCache {
  public:
   struct Stats {
@@ -328,8 +326,7 @@ class SubgraphCache {
     int64_t misses = 0;
     int64_t evictions = 0;
     int64_t entries = 0;
-    int64_t bytes = 0;       // payload bytes of resident nodes + edges
-    int64_t fifo_slots = 0;  // FIFO queue length, stale slots included
+    int64_t bytes = 0;  // SubgraphPayloadBytes of the resident entries
   };
 
   // capacity = maximum resident subgraphs; 0 = unlimited.
@@ -343,54 +340,21 @@ class SubgraphCache {
   const Subgraph* Find(const Triple& triple) const;
 
   // Stores `subgraph` under `triple` (no-op when already resident),
-  // evicting the oldest insertion first when at capacity; each evicted key
-  // is appended to `evicted` when non-null (the serve layer drops its
-  // per-entry bookkeeping with it). Returns the resident subgraph.
-  const Subgraph* Insert(const Triple& triple, Subgraph subgraph,
-                         std::vector<Triple>* evicted = nullptr);
+  // evicting the oldest insertion first when at capacity. Returns the
+  // resident subgraph.
+  const Subgraph* Insert(const Triple& triple, Subgraph subgraph);
 
-  // Replaces the payload of a resident entry in place: same key, same
-  // FIFO age, same stable Subgraph address (the contents are move-assigned
-  // behind the pointer), byte accounting updated. Returns the resident
-  // subgraph, or null when `triple` is not resident. This is the serve
-  // layer's ingest-patch primitive — maintenance must not perturb the
-  // deterministic eviction order the read-only serving contract relies on.
-  const Subgraph* Replace(const Triple& triple, Subgraph subgraph);
-
-  // Removes the entry for `triple`; returns true when it was resident.
-  // The serve layer's delta ingester uses this to invalidate exactly the
-  // entries a new edge can affect. Stale occurrences of erased keys in
-  // the FIFO queue are skipped at eviction time (their sequence number no
-  // longer matches any resident entry) or dropped by the next compaction.
-  bool Erase(const Triple& triple);
-
-  void Clear();
   // Zeroes hits/misses/evictions; entries/bytes reflect residency and are
   // kept. Used to scope hit-rate measurement to one epoch.
   void ResetCounters();
 
-  int64_t capacity() const { return capacity_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    // unique_ptr payload keeps the Subgraph address stable across rehashes
-    // and across Replace().
-    std::unique_ptr<Subgraph> subgraph;
-    uint64_t seq = 0;  // insertion sequence; pairs with the FIFO queue
-  };
-  struct QueueSlot {
-    Triple triple;
-    uint64_t seq = 0;
-  };
-
-  static int64_t PayloadBytes(const Subgraph& s);
-
   int64_t capacity_;
   Stats stats_;
-  uint64_t next_seq_ = 0;
-  std::unordered_map<Triple, Entry, TripleHash> map_;
-  std::deque<QueueSlot> fifo_;
+  std::unordered_map<Triple, Subgraph, TripleHash> map_;
+  std::deque<Triple> fifo_;  // resident keys, oldest first; bounded only
 };
 
 }  // namespace dekg

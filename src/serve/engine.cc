@@ -147,17 +147,12 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
       core::ScoreInference(model_->clrm(), gsm, triples, subs, rows,
                            qweights_.get(), config_.gsm_batch);
 
-  // Phase 4 (serial, first-miss order): admit the misses. Insertion after
+  // Phase 4 (serial, first-miss order): admit the misses. Admission after
   // scoring means a capacity-bounded cache can never evict a subgraph
   // this same batch still needs. Admitted entries were extracted from
   // `snap`, which CatchUpCache made the cache consistent with above.
-  std::vector<Triple> evicted;
   for (size_t m = 0; m < miss.size(); ++m) {
-    const Triple& t = miss[m];
-    cache_.Insert(t, std::move(miss_subs[m]), &evicted);
-    for (const Triple& key : evicted) index_.Remove(key);
-    evicted.clear();
-    index_.Add(t, std::move(miss_labels[m]));
+    cache_.Admit(miss[m], std::move(miss_subs[m]), std::move(miss_labels[m]));
   }
   return scores;
 }
@@ -192,13 +187,13 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 
   // Maintain exactly the cached extractions a new edge can affect: those
   // whose touched set contains an endpoint of a combined-batch triple.
-  const std::vector<Triple> affected = index_.Affected(touched);
+  const std::vector<Triple> affected = cache_.Affected(touched);
 
   const core::Gsm* gsm = model_->gsm();
   if (!config_.patch_cache || gsm == nullptr) {
     // Invalidate-on-ingest: drop every affected entry; the next lookup
     // pays a full re-extraction.
-    for (const Triple& key : affected) RemoveCached(key);
+    for (const Triple& key : affected) cache_.Remove(key);
     invalidated_ += affected.size();
     if (response != nullptr) response->invalidated += affected.size();
     return;
@@ -213,7 +208,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   const SubgraphConfig sc = gsm->subgraph_config();
   uint64_t removed = 0;
   for (const Triple& key : affected) {
-    TouchedLabels& labels = *index_.Find(key);
+    TouchedLabels& labels = *cache_.Labels(key);
     bool head_changed = false;
     bool tail_changed = false;
     const bool patchable =
@@ -224,19 +219,18 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
                                       combined, labels.entities,
                                       &labels.dist_tail, &tail_changed);
     if (!patchable) {
-      RemoveCached(key);
+      cache_.Remove(key);
       ++fallback_;
       ++invalidated_;
       ++removed;
       continue;
     }
-    // The touched union set is unchanged, so index_'s postings stay valid;
-    // the rebuild goes through the same assembly path fresh extraction
-    // uses, so the swapped payload is bit-identical to ExtractSubgraph
-    // on the snapshot graph.
-    cache_.Replace(key,
-                   BuildSubgraphFromLabels(g, key.head, key.tail, key.rel, sc,
-                                           labels, &patch_workspace_));
+    // The touched union set is unchanged, so the key's postings stay
+    // valid; the rebuild goes through the same assembly path fresh
+    // extraction uses, so the swapped payload is bit-identical to
+    // ExtractSubgraph on the snapshot graph.
+    cache_.Patch(key, BuildSubgraphFromLabels(g, key.head, key.tail, key.rel,
+                                              sc, labels, &patch_workspace_));
     if (head_changed || tail_changed) {
       ++repaired_;
       if (response != nullptr) ++response->repaired;
@@ -248,14 +242,9 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   if (response != nullptr) response->invalidated += removed;
 }
 
-void InferenceEngine::RemoveCached(const Triple& key) {
-  cache_.Erase(key);
-  index_.Remove(key);
-}
-
 EngineStats InferenceEngine::Stats() const {
   EngineStats stats;
-  const SubgraphCache::Stats& cs = cache_.stats();
+  const ShardCache::Stats& cs = cache_.stats();
   stats.cache_hits = static_cast<uint64_t>(cs.hits);
   stats.cache_misses = static_cast<uint64_t>(cs.misses);
   stats.cache_entries = static_cast<uint64_t>(cs.entries);
@@ -265,8 +254,8 @@ EngineStats InferenceEngine::Stats() const {
   stats.cache_patched = patched_;
   stats.cache_repaired = repaired_;
   stats.cache_fallback = fallback_;
-  stats.index_bytes = static_cast<uint64_t>(index_.bytes());
-  stats.index_sweeps = static_cast<uint64_t>(index_.sweeps());
+  stats.index_bytes = static_cast<uint64_t>(cache_.index_bytes());
+  stats.index_sweeps = static_cast<uint64_t>(cache_.sweeps());
   // Graph counters come off the published snapshot so Stats is safe to
   // call where only Current() is (any thread, any time).
   const std::shared_ptr<const GraphSnapshot> snap = writer_->Current();

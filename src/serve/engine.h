@@ -1,17 +1,18 @@
 // Inference engine of the online scoring server (DESIGN.md §9, §14): one
 // shard of a serve::Router.
 //
-// Owns a shard's subgraph cache with its touched-entity index
-// (serve/touched_index.h) and borrows the frozen DEKG-ILP model and the
-// router's shared SnapshotWriter, which it never ingests into. It reads
-// graph + CLRM rows from epoch-tagged immutable snapshots
-// (serve/snapshot.h): at the start of every
-// ScoreBatch it loads the current snapshot and, if epochs advanced since
-// it last looked, takes the edges appended since the edge count it caught
-// up to as one combined batch and runs the cache maintenance against it.
-// That is sound because ingest only appends edges: the snapshot graph
-// equals the cached graph plus the combined batch, which is precisely the
-// situation the patch/repair/fallback predicate handles (DESIGN.md §13).
+// Owns a shard's resident subgraphs in one serve::ShardCache
+// (serve/shard_cache.h), which makes every residency decision, and
+// borrows the frozen DEKG-ILP model and the router's shared
+// SnapshotWriter, which it never ingests into. It reads graph + CLRM
+// rows from epoch-tagged immutable snapshots (serve/snapshot.h): at the
+// start of every ScoreBatch it loads the current snapshot and, if epochs
+// advanced since it last looked, takes the edges appended since the edge
+// count it caught up to as one combined batch and runs the cache
+// maintenance against it. That is sound because ingest only appends
+// edges: the snapshot graph equals the cached graph plus the combined
+// batch, which is precisely the situation the patch/repair/fallback
+// predicate handles (DESIGN.md §13).
 //
 // Three operations, all invoked from one thread at a time (the
 // scheduler thread, or one router fan-out worker per shard):
@@ -45,15 +46,14 @@
 #include "graph/subgraph.h"
 #include "serve/live_graph.h"
 #include "serve/protocol.h"
+#include "serve/shard_cache.h"
 #include "serve/snapshot.h"
-#include "serve/touched_index.h"
 
 namespace dekg::serve {
 
 struct EngineConfig {
   // Maximum resident cached subgraphs per shard (0 = unlimited), evicted
-  // FIFO by the SubgraphCache, which reports each evicted key so the
-  // engine removes it from the touched-entity index.
+  // FIFO by the shard's ShardCache.
   int64_t cache_capacity = 4096;
   LiveGraphConfig live_graph;
   // Packed-batch grouping handed to core::ScoreInference. Bitwise
@@ -108,8 +108,8 @@ struct EngineStats {
   uint64_t cache_fallback = 0;     // membership changed: invalidated for
                                    // full re-extraction
   uint64_t cache_bytes = 0;  // subgraph payload only
-  // Touched-entity index: label + posting bytes (TouchedIndex::bytes)
-  // and full sweeps of its stale postings.
+  // Touched-entity index: label + posting bytes
+  // (ShardCache::index_bytes) and full sweeps of its stale postings.
   uint64_t index_bytes = 0;
   uint64_t index_sweeps = 0;
   uint64_t graph_triples = 0;
@@ -178,9 +178,6 @@ class InferenceEngine {
   std::vector<double> ScoreBatchAgainstSnapshot(
       const GraphSnapshot& snap, const std::vector<ScoreItem>& items);
 
-  // Removes one cached key and its touched-entity index entry.
-  void RemoveCached(const Triple& key);
-
   core::DekgIlpModel* model_;
   EngineConfig config_;
   SnapshotWriter* writer_;
@@ -197,12 +194,10 @@ class InferenceEngine {
   uint64_t caught_up_epoch_ = 0;
   int64_t caught_up_edges_ = 0;
 
-  // Subgraph cache (FIFO at config_.cache_capacity) plus the maintenance
-  // bookkeeping: index_ holds each resident key's sparse labels (what
-  // ingest-patching re-relaxes) and, inverted, the keys each entity's
-  // new edges can affect. Both hold exactly the same keys.
-  SubgraphCache cache_;
-  TouchedIndex index_;
+  // The resident subgraphs (FIFO at config_.cache_capacity), each with
+  // the sparse labels ingest-patching re-relaxes, and, inverted, the keys
+  // each entity's new edges can affect.
+  ShardCache cache_;
 
   // Reusable stamped workspace for the single-writer ingest-patch path's
   // label rebuilds (CatchUpCache only; never shared with the read path).

@@ -1,4 +1,4 @@
-#include "serve/touched_index.h"
+#include "serve/shard_cache.h"
 
 #include <algorithm>
 #include <utility>
@@ -18,9 +18,28 @@ int64_t LabelBytes(const TouchedLabels& labels) {
 
 }  // namespace
 
-void TouchedIndex::Add(const Triple& key, TouchedLabels labels) {
+ShardCache::ShardCache(int64_t capacity) : capacity_(capacity) {
+  DEKG_CHECK_GE(capacity, 0);
+}
+
+const Subgraph* ShardCache::Lookup(const Triple& key) {
+  const auto it = slot_of_.find(key);
+  if (it == slot_of_.end()) {
+    ++stats_.misses;
+    return nullptr;
+  }
+  ++stats_.hits;
+  return &slots_[it->second].subgraph;
+}
+
+void ShardCache::Admit(const Triple& key, Subgraph subgraph,
+                       TouchedLabels labels) {
+  while (capacity_ > 0 && stats_.entries >= capacity_) {
+    Free(head_);
+    ++stats_.evictions;
+  }
   const auto [it, fresh] = slot_of_.try_emplace(key, 0);
-  DEKG_CHECK(fresh) << "TouchedIndex::Add: key already resident";
+  DEKG_CHECK(fresh) << "ShardCache::Admit: key already resident";
   if (free_slots_.empty()) {
     DEKG_CHECK_LT(slots_.size(), kMaxSlots);
     it->second = static_cast<uint32_t>(slots_.size());
@@ -29,9 +48,14 @@ void TouchedIndex::Add(const Triple& key, TouchedLabels labels) {
     it->second = free_slots_.back();
     free_slots_.pop_back();
   }
-  Slot& slot = slots_[it->second];
+  const uint32_t s = it->second;
+  Slot& slot = slots_[s];
   slot.key = key;
-  const Posting posting = it->second | uint32_t{slot.generation} << 24;
+  slot.prev = tail_;
+  slot.next = kNone;
+  (tail_ == kNone ? head_ : slots_[tail_].next) = s;
+  tail_ = s;
+  const Posting posting = s | uint32_t{slot.generation} << 24;
   size_t grown = 0;  // posting capacity added
   for (const EntityId e : labels.entities) {
     const size_t i = static_cast<size_t>(e);
@@ -45,35 +69,34 @@ void TouchedIndex::Add(const Triple& key, TouchedLabels labels) {
   live_ += static_cast<int64_t>(labels.entities.size());
   label_bytes_ += LabelBytes(labels);
   slot.labels = std::move(labels);
+  stats_.bytes += SubgraphPayloadBytes(subgraph);
+  slot.subgraph = std::move(subgraph);
+  ++stats_.entries;
 }
 
-bool TouchedIndex::Remove(const Triple& key) {
+bool ShardCache::Remove(const Triple& key) {
   const auto it = slot_of_.find(key);
   if (it == slot_of_.end()) return false;
-  const uint32_t s = it->second;
-  slot_of_.erase(it);
-  Slot& slot = slots_[s];
-  const int64_t posted = static_cast<int64_t>(slot.labels.entities.size());
-  label_bytes_ -= LabelBytes(slot.labels);
-  slot.labels = TouchedLabels{};
-  free_slots_.push_back(s);
-  live_ -= posted;
-  stale_ += posted;
-  // Sweep right after a wrapping bump, so the slot leaves the wrap with
-  // no postings (see the header comment).
-  if (++slot.generation == slot.swept_generation ||
-      stale_ > live_ + kSweepSlack) {
-    Sweep(s);
-  }
+  Free(it->second);
   return true;
 }
 
-TouchedLabels* TouchedIndex::Find(const Triple& key) {
+TouchedLabels* ShardCache::Labels(const Triple& key) {
   const auto it = slot_of_.find(key);
   return it == slot_of_.end() ? nullptr : &slots_[it->second].labels;
 }
 
-std::vector<Triple> TouchedIndex::Affected(
+bool ShardCache::Patch(const Triple& key, Subgraph subgraph) {
+  const auto it = slot_of_.find(key);
+  if (it == slot_of_.end()) return false;
+  Subgraph& resident = slots_[it->second].subgraph;
+  stats_.bytes +=
+      SubgraphPayloadBytes(subgraph) - SubgraphPayloadBytes(resident);
+  resident = std::move(subgraph);
+  return true;
+}
+
+std::vector<Triple> ShardCache::Affected(
     const std::vector<EntityId>& entities) {
   if (++query_ == 0) {
     // Stamp wrap: clear every slot's stamp once, then restart at 1.
@@ -100,7 +123,34 @@ std::vector<Triple> TouchedIndex::Affected(
   return out;
 }
 
-void TouchedIndex::Sweep(uint32_t freed) {
+void ShardCache::Unlink(uint32_t s) {
+  const Slot& slot = slots_[s];
+  (slot.prev == kNone ? head_ : slots_[slot.prev].next) = slot.next;
+  (slot.next == kNone ? tail_ : slots_[slot.next].prev) = slot.prev;
+}
+
+void ShardCache::Free(uint32_t s) {
+  Unlink(s);
+  Slot& slot = slots_[s];
+  slot_of_.erase(slot.key);
+  const int64_t posted = static_cast<int64_t>(slot.labels.entities.size());
+  label_bytes_ -= LabelBytes(slot.labels);
+  slot.labels = TouchedLabels{};
+  stats_.bytes -= SubgraphPayloadBytes(slot.subgraph);
+  slot.subgraph = Subgraph{};
+  --stats_.entries;
+  free_slots_.push_back(s);
+  live_ -= posted;
+  stale_ += posted;
+  // Sweep right after a wrapping bump, so the slot leaves the wrap with
+  // no postings (see the header comment).
+  if (++slot.generation == slot.swept_generation ||
+      stale_ > live_ + kSweepSlack) {
+    Sweep(s);
+  }
+}
+
+void ShardCache::Sweep(uint32_t freed) {
   for (std::vector<Posting>& list : postings_) {
     list.erase(std::remove_if(list.begin(), list.end(),
                               [this, freed](Posting p) {

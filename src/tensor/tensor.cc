@@ -220,7 +220,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
       const float* pa = a.Data();
       const float* pb = b.Data();
       float* po = out.Data();
-      MaybeParallelRange(a.numel(), tune::ParallelElementwiseMin(),
+      MaybeParallelRange(a.numel(), tune::kParallelElementwiseMin,
                          [&](int64_t lo, int64_t hi) {
                            for (int64_t i = lo; i < hi; ++i) {
                              po[i] = f(pa[i], pb[i]);
@@ -233,7 +233,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
       const float* pa = a.Data();
       const float sb = b.Data()[0];
       float* po = out.Data();
-      MaybeParallelRange(a.numel(), tune::ParallelElementwiseMin(),
+      MaybeParallelRange(a.numel(), tune::kParallelElementwiseMin,
                          [&](int64_t lo, int64_t hi) {
                            for (int64_t i = lo; i < hi; ++i) {
                              po[i] = f(pa[i], sb);
@@ -246,7 +246,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
       const float sa = a.Data()[0];
       const float* pb = b.Data();
       float* po = out.Data();
-      MaybeParallelRange(b.numel(), tune::ParallelElementwiseMin(),
+      MaybeParallelRange(b.numel(), tune::kParallelElementwiseMin,
                          [&](int64_t lo, int64_t hi) {
                            for (int64_t i = lo; i < hi; ++i) {
                              po[i] = f(sa, pb[i]);
@@ -262,7 +262,7 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
       const float* pb = b.Data();
       float* po = out.Data();
       MaybeParallelRange(
-          m, std::max<int64_t>(1, tune::ParallelElementwiseMin() / std::max<int64_t>(n, 1)),
+          m, std::max<int64_t>(1, tune::kParallelElementwiseMin / std::max<int64_t>(n, 1)),
           [&](int64_t lo, int64_t hi) {
             for (int64_t i = lo; i < hi; ++i) {
               for (int64_t j = 0; j < n; ++j) {
@@ -282,7 +282,7 @@ Tensor ElementwiseUnary(const Tensor& a, F f) {
   Tensor out(a.shape());
   const float* pa = a.Data();
   float* po = out.Data();
-  MaybeParallelRange(a.numel(), tune::ParallelElementwiseMin(),
+  MaybeParallelRange(a.numel(), tune::kParallelElementwiseMin,
                      [&](int64_t lo, int64_t hi) {
                        for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
                      });
@@ -421,7 +421,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         po[i] = lanes::LaneDotF32(pa + i * k, pb, k);
       }
     };
-    if (m * k >= tune::ParallelMatMulMinFlops() && m > 1) {
+    if (m * k >= tune::kParallelMatMulMinFlops && m > 1) {
       ParallelFor(0, m, /*grain=*/0, dot_rows);
     } else {
       dot_rows(0, m);
@@ -430,7 +430,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   }
   // Output elements are computed exactly once each, so both row blocks
   // and column tiles parallelize without changing any result bit.
-  if (m * k * n >= tune::ParallelMatMulMinFlops()) {
+  if (m * k * n >= tune::kParallelMatMulMinFlops) {
     if (m > 1) {
       ParallelFor(0, m, /*grain=*/0,
                   [&](int64_t row_begin, int64_t row_end) {

@@ -59,13 +59,6 @@ TEST(GradCheck, AddMulSubChain) {
                  });
 }
 
-TEST(GradCheck, DivOp) {
-  CheckGradients({RandomTensor({4}, 3), RandomTensor({4}, 4, 0.5f, 2.0f)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(Div(v[0], v[1]));
-                 });
-}
-
 TEST(GradCheck, ScalarBroadcast) {
   CheckGradients({RandomTensor({3, 2}, 5), RandomTensor({1}, 6)},
                  [](const std::vector<Var>& v) {
@@ -87,13 +80,6 @@ TEST(GradCheck, MatMulBothSides) {
                  });
 }
 
-TEST(GradCheck, TransposeOp) {
-  CheckGradients({RandomTensor({2, 3}, 11)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(Square(Transpose(v[0])));
-                 });
-}
-
 TEST(GradCheck, SigmoidTanhChain) {
   CheckGradients({RandomTensor({5}, 12)},
                  [](const std::vector<Var>& v) {
@@ -101,10 +87,31 @@ TEST(GradCheck, SigmoidTanhChain) {
                  });
 }
 
-TEST(GradCheck, ExpLogSqrt) {
+TEST(GradCheck, LogSqrt) {
   CheckGradients({RandomTensor({4}, 13, 0.5f, 2.0f)},
                  [](const std::vector<Var>& v) {
-                   return SumAll(Log(Exp(Sqrt(v[0]))));
+                   return SumAll(Log(Sqrt(v[0])));
+                 });
+}
+
+TEST(GradCheck, NegOp) {
+  CheckGradients({RandomTensor({4}, 16), RandomTensor({4}, 17)},
+                 [](const std::vector<Var>& v) {
+                   return SumAll(Mul(Neg(v[0]), v[1]));
+                 });
+}
+
+TEST(GradCheck, AddScalarOp) {
+  CheckGradients({RandomTensor({2, 3}, 34)},
+                 [](const std::vector<Var>& v) {
+                   return SumAll(Square(AddScalar(v[0], 0.75f)));
+                 });
+}
+
+TEST(GradCheck, MulScalarOp) {
+  CheckGradients({RandomTensor({2, 3}, 35)},
+                 [](const std::vector<Var>& v) {
+                   return SumAll(Square(MulScalar(v[0], -1.5f)));
                  });
 }
 
@@ -116,20 +123,6 @@ TEST(GradCheck, ReluAwayFromKink) {
                  });
 }
 
-TEST(GradCheck, LeakyReluOp) {
-  CheckGradients({RandomTensor({6}, 16, 0.2f, 1.0f)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(LeakyRelu(Neg(v[0]), 0.1f));
-                 });
-}
-
-TEST(GradCheck, AbsAwayFromZero) {
-  CheckGradients({RandomTensor({4}, 17, 0.3f, 1.0f)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(Abs(Neg(v[0])));
-                 });
-}
-
 TEST(GradCheck, CosSin) {
   CheckGradients({RandomTensor({5}, 18)},
                  [](const std::vector<Var>& v) {
@@ -137,10 +130,10 @@ TEST(GradCheck, CosSin) {
                  });
 }
 
-TEST(GradCheck, SumRowsMeanRows) {
+TEST(GradCheck, SumRowsOp) {
   CheckGradients({RandomTensor({3, 4}, 19)},
                  [](const std::vector<Var>& v) {
-                   return SumAll(Square(MeanRows(v[0])));
+                   return SumAll(Square(SumRows(v[0])));
                  });
 }
 
@@ -184,21 +177,6 @@ TEST(GradCheck, ScaleRowsBothInputs) {
                  });
 }
 
-TEST(GradCheck, SegmentSumRowsOp) {
-  CheckGradients({RandomTensor({5, 3}, 37)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(Square(SegmentSumRows(v[0], {0, 2, 5})));
-                 });
-}
-
-TEST(GradCheck, SegmentMeanRowsOp) {
-  CheckGradients({RandomTensor({6, 2}, 38)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(
-                       Square(SegmentMeanRows(v[0], {0, 1, 4, 6})));
-                 });
-}
-
 TEST(GradCheck, ConcatAxis0) {
   CheckGradients({RandomTensor({2, 3}, 26), RandomTensor({1, 3}, 27)},
                  [](const std::vector<Var>& v) {
@@ -234,21 +212,6 @@ TEST(GradCheck, Conv2dInputAndKernel) {
                  });
 }
 
-TEST(GradCheck, RowSquaredDistanceOp) {
-  CheckGradients({RandomTensor({3, 4}, 34), RandomTensor({3, 4}, 35)},
-                 [](const std::vector<Var>& v) {
-                   return SumAll(RowSquaredDistance(v[0], v[1]));
-                 });
-}
-
-TEST(GradCheck, BceWithLogitsOp) {
-  Tensor targets({4}, {1.0f, 0.0f, 1.0f, 0.0f});
-  CheckGradients({RandomTensor({4}, 36)},
-                 [targets](const std::vector<Var>& v) {
-                   return BceWithLogits(v[0], targets);
-                 });
-}
-
 TEST(GradCheck, SharedSubexpressionAccumulates) {
   // x used twice: d/dx (x*x + x) = 2x + 1.
   Tensor x({1}, {3.0f});
@@ -275,27 +238,6 @@ TEST(GradCheck, ZeroGradResets) {
   EXPECT_TRUE(a.has_grad());
   a.ZeroGrad();
   EXPECT_FALSE(a.has_grad());
-}
-
-TEST(GradCheck, DropoutEvalIsIdentity) {
-  Rng rng(1);
-  Var a = Var::Leaf(RandomTensor({8}, 40), true);
-  Var out = Dropout(a, 0.5f, /*training=*/false, &rng);
-  EXPECT_TRUE(AllClose(out.value(), a.value()));
-}
-
-TEST(GradCheck, DropoutTrainScalesSurvivors) {
-  Rng rng(7);
-  Tensor ones = Tensor::Ones({1000});
-  Var a = Var::Leaf(ones, true);
-  Var out = Dropout(a, 0.5f, /*training=*/true, &rng);
-  // Survivors are scaled by 2; overall mean stays near 1.
-  float mean = MeanAll(out.value());
-  EXPECT_NEAR(mean, 1.0f, 0.15f);
-  for (int64_t i = 0; i < out.value().numel(); ++i) {
-    float v = out.value().Data()[i];
-    EXPECT_TRUE(v == 0.0f || std::fabs(v - 2.0f) < 1e-6f);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // SubgraphCache semantics: hit/miss accounting, deterministic FIFO
 // eviction under a capacity bound, byte accounting, and transparency —
 // a served subgraph is exactly what a fresh extraction would produce.
+// The serve shard's store, with removal and in-place patching, is
+// serve::ShardCache (touched_index_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,41 +109,21 @@ TEST(SubgraphCacheTest, ByteAccountingTracksResidency) {
       static_cast<int64_t>(2 * sizeof(SubgraphNode) + 1 * sizeof(SubgraphEdge));
   cache.Insert(Triple{1, 0, 2}, MakeSubgraph(2, 1));
   EXPECT_EQ(cache.stats().bytes, expect_b);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().bytes, 0);
-  EXPECT_EQ(cache.stats().entries, 0);
-}
-
-TEST(SubgraphCacheTest, ReinsertedKeyAgesFromReinsertion) {
-  // Regression for the stale-FIFO bug: a key erased and later re-inserted
-  // used to retire early through its old queue slot. With sequence-paired
-  // slots, eviction order is a pure function of the live insertion
-  // history: after a is erased and re-inserted, b is the oldest resident.
-  SubgraphCache cache(/*capacity=*/2);
-  const Triple a{0, 0, 1}, b{1, 0, 2}, c{2, 0, 3};
-  cache.Insert(a, MakeSubgraph(2, 1));
-  cache.Insert(b, MakeSubgraph(2, 1));
-  EXPECT_TRUE(cache.Erase(a));
-  cache.Insert(a, MakeSubgraph(3, 2));  // re-insert: a is now the newest
-  cache.Insert(c, MakeSubgraph(2, 1));
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(cache.Find(b), nullptr) << "b is the oldest live insertion";
-  ASSERT_NE(cache.Find(a), nullptr) << "re-inserted a must survive";
-  EXPECT_EQ(cache.Find(a)->nodes.size(), 3u);
-  EXPECT_NE(cache.Find(c), nullptr);
+  // And again: b's bytes leave with it.
+  cache.Insert(Triple{2, 0, 3}, MakeSubgraph(1, 0));
+  EXPECT_EQ(cache.stats().bytes,
+            static_cast<int64_t>(sizeof(SubgraphNode)));
+  EXPECT_EQ(cache.stats().entries, 1);
+  EXPECT_EQ(cache.stats().evictions, 2);
 }
 
 TEST(SubgraphCacheTest, CapacityInvariantHoldsUnderChurn) {
-  // Deterministic erase/re-insert churn: the resident count must never
-  // exceed the capacity, bytes must always equal the sum over residents,
-  // and eviction must always find a live victim (no CHECK failure from an
-  // all-stale queue).
+  // Deterministic re-insert churn: the resident count must never exceed
+  // the capacity and bytes must always equal the sum over residents.
   const int64_t capacity = 4;
   SubgraphCache cache(capacity);
   for (int32_t round = 0; round < 64; ++round) {
     const Triple t{round % 7, 0, (round % 7) + 1};
-    if (round % 3 == 1) cache.Erase(t);
     cache.Insert(t, MakeSubgraph(1 + round % 5, round % 4));
     ASSERT_LE(cache.stats().entries, capacity) << "round " << round;
     int64_t bytes = 0;
@@ -153,90 +135,6 @@ TEST(SubgraphCacheTest, CapacityInvariantHoldsUnderChurn) {
     }
     ASSERT_EQ(cache.stats().bytes, bytes) << "round " << round;
   }
-}
-
-TEST(SubgraphCacheTest, FifoQueueStaysBoundedByResidency) {
-  // An unlimited cache never evicts, so it keeps no queue at all.
-  SubgraphCache unlimited(/*capacity=*/0);
-  for (int32_t i = 0; i < 100000; ++i) {
-    unlimited.Insert(Triple{i, 0, i + 1}, MakeSubgraph(2, 0));
-  }
-  EXPECT_EQ(unlimited.stats().entries, 100000);
-  EXPECT_EQ(unlimited.stats().fifo_slots, 0);
-
-  // Insert/erase churn below capacity leaves a stale slot per cycle;
-  // compaction keeps the queue within about twice the resident count.
-  const int64_t capacity = 8;
-  SubgraphCache bounded(capacity);
-  for (int32_t i = 0; i < 4; ++i) {
-    bounded.Insert(Triple{-1 - i, 0, 0}, MakeSubgraph(2, 0));
-  }
-  for (int32_t i = 0; i < 100000; ++i) {
-    const Triple t{i, 0, i + 1};
-    bounded.Insert(t, MakeSubgraph(2, 0));
-    ASSERT_TRUE(bounded.Erase(t));
-    ASSERT_LE(bounded.stats().fifo_slots, 2 * capacity + 20) << "cycle " << i;
-  }
-  EXPECT_EQ(bounded.stats().entries, 4);
-  EXPECT_EQ(bounded.stats().evictions, 0);
-}
-
-TEST(SubgraphCacheTest, CompactionKeepsEvictionOrderAndReportsVictims) {
-  // Random insert / erase / re-insert churn against a reference FIFO of
-  // live keys: every eviction must retire the reference's oldest live key
-  // and be reported through Insert's `evicted` list.
-  const int64_t capacity = 6;
-  SubgraphCache cache(capacity);
-  std::vector<Triple> reference;  // live keys, oldest first
-  Rng rng(23);
-  for (int32_t step = 0; step < 20000; ++step) {
-    const Triple t{static_cast<EntityId>(rng.UniformInt(0, 15)), 0, 99};
-    const auto pos = std::find(reference.begin(), reference.end(), t);
-    if (rng.Bernoulli(0.4)) {
-      EXPECT_EQ(cache.Erase(t), pos != reference.end());
-      if (pos != reference.end()) reference.erase(pos);
-      continue;
-    }
-    std::vector<Triple> evicted;
-    cache.Insert(t, MakeSubgraph(2, 0), &evicted);
-    std::vector<Triple> want;
-    if (pos == reference.end()) {
-      if (static_cast<int64_t>(reference.size()) == capacity) {
-        want.push_back(reference.front());
-        reference.erase(reference.begin());
-      }
-      reference.push_back(t);
-    }
-    ASSERT_EQ(evicted, want) << "step " << step;
-    ASSERT_EQ(cache.stats().entries, static_cast<int64_t>(reference.size()));
-    ASSERT_LE(cache.stats().fifo_slots, 2 * capacity + 20) << "step " << step;
-  }
-  for (const Triple& t : reference) EXPECT_NE(cache.Find(t), nullptr);
-}
-
-TEST(SubgraphCacheTest, ReplaceSwapsPayloadInPlace) {
-  SubgraphCache cache(/*capacity=*/2);
-  const Triple a{0, 0, 1}, b{1, 0, 2}, c{2, 0, 3};
-  EXPECT_EQ(cache.Replace(a, MakeSubgraph(1, 1)), nullptr)
-      << "replacing an absent key is a no-op";
-  EXPECT_EQ(cache.stats().entries, 0);
-
-  const Subgraph* resident = cache.Insert(a, MakeSubgraph(4, 3));
-  cache.Insert(b, MakeSubgraph(2, 1));
-  const Subgraph* replaced = cache.Replace(a, MakeSubgraph(2, 2));
-  EXPECT_EQ(replaced, resident) << "entry address is stable across Replace";
-  EXPECT_EQ(replaced->nodes.size(), 2u);
-  EXPECT_EQ(cache.stats().entries, 2);
-  const int64_t expect =
-      static_cast<int64_t>((2 + 2) * sizeof(SubgraphNode) +
-                           (2 + 1) * sizeof(SubgraphEdge));
-  EXPECT_EQ(cache.stats().bytes, expect) << "bytes re-accounted on Replace";
-
-  // Replace does not refresh FIFO age: a is still the oldest insertion.
-  cache.Insert(c, MakeSubgraph(2, 1));
-  EXPECT_EQ(cache.Find(a), nullptr);
-  EXPECT_NE(cache.Find(b), nullptr);
-  EXPECT_NE(cache.Find(c), nullptr);
 }
 
 TEST(SubgraphCacheTest, ServedSubgraphMatchesFreshExtraction) {
