@@ -15,7 +15,7 @@ set -e
 cd "$(dirname "$0")/.."
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j --target bench_train bench_gsm_batch bench_simd \
+cmake --build build-release -j "$(nproc)" --target bench_train bench_gsm_batch bench_simd \
   bench_extract bench_churn bench_quant
 
 # Small dataset, explicit thread count: the point is the bitwise

@@ -33,12 +33,12 @@ MODE="${1:-full}"
 
 echo "== ci: tier-1 build + tests =="
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 echo "== ci: benchmark program build + tests =="
 cmake -S perfbench -B build-perfbench
-cmake --build build-perfbench -j
+cmake --build build-perfbench -j "$(nproc)"
 ctest --test-dir build-perfbench --output-on-failure
 
 echo "== ci: vectorization check =="

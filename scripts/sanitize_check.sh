@@ -34,7 +34,8 @@ COMMON_TESTS="thread_pool_test parallel_eval_determinism_test evaluator_test \
   serve_determinism_test shard_routing_test snapshot_versioning_test \
   cache_patch_differential_test subgraph_sparse_property_test \
   subgraph_patch_property_test gsm_batch_test simd_kernel_contract_test \
-  quant_test quant_gate_test baselines_test neural_lp_test"
+  quant_test quant_gate_test baselines_test neural_lp_test \
+  rgcn_layer_op_test"
 # Death-test / fork-based suites: address,undefined sweep only.
 FORKY_TESTS="checkpoint_test dataset_io_fuzz_test"
 
@@ -44,7 +45,7 @@ run_suite() {
   TESTS="$3"
   cmake -B "$BUILD_DIR" -S . -DDEKG_SANITIZE="$SANITIZERS"
   # shellcheck disable=SC2086
-  cmake --build "$BUILD_DIR" -j --target $TESTS
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target $TESTS
   for t in $TESTS; do
     echo "== $SANITIZERS: $t =="
     # Force real concurrency so races are reachable even where the default
@@ -64,7 +65,7 @@ if [ "$MODE" = "optlevels" ] || [ "$MODE" = "all" ]; then
   for LEVEL in O0 O3; do
     BUILD_DIR="build-$(echo "$LEVEL" | tr 'A-Z' 'a-z')"
     cmake -B "$BUILD_DIR" -S . -DDEKG_OPT_LEVEL="-$LEVEL"
-    cmake --build "$BUILD_DIR" -j --target simd_kernel_contract_test
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target simd_kernel_contract_test
     echo "== -$LEVEL: simd_kernel_contract_test =="
     DEKG_KERNEL_FINGERPRINT="$BUILD_DIR/kernel_fingerprint.txt" \
       "$BUILD_DIR/tests/simd_kernel_contract_test"

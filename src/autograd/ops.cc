@@ -269,13 +269,15 @@ Var SoftmaxRows(const Var& a) {
 }
 
 Var GatherRows(const Var& rows, const std::vector<int64_t>& indices) {
-  return MakeNode(dekg::GatherRows(rows.value(), indices), {rows},
-                  [indices](VarImpl* n) {
-                    if (!n->parents[0]->requires_grad) return;
-                    Tensor g = Tensor::Zeros(n->parents[0]->value.shape());
-                    dekg::ScatterAddRows(&g, indices, n->grad);
-                    Accumulate(n, 0, g);
-                  });
+  Tensor fwd = dekg::GatherRows(rows.value(), indices);
+  // The backward closure owns a copy of the index list; a tape-free
+  // gather (e.g. Neural LP inference) must not pay for it.
+  if (!rows.requires_grad()) return MakeNode(std::move(fwd), {rows}, nullptr);
+  return MakeNode(std::move(fwd), {rows}, [indices](VarImpl* n) {
+    Tensor g = Tensor::Zeros(n->parents[0]->value.shape());
+    dekg::ScatterAddRows(&g, indices, n->grad);
+    Accumulate(n, 0, g);
+  });
 }
 
 Var ScatterSumRows(const Var& updates, const std::vector<int64_t>& indices,
@@ -283,7 +285,10 @@ Var ScatterSumRows(const Var& updates, const std::vector<int64_t>& indices,
   DEKG_CHECK_EQ(updates.value().rank(), 2u);
   Tensor fwd = Tensor::Zeros(Shape{num_rows, updates.value().dim(1)});
   dekg::ScatterAddRows(&fwd, indices, updates.value());
-  return MakeNode(fwd, {updates}, [indices](VarImpl* n) {
+  if (!updates.requires_grad()) {
+    return MakeNode(std::move(fwd), {updates}, nullptr);
+  }
+  return MakeNode(std::move(fwd), {updates}, [indices](VarImpl* n) {
     Accumulate(n, 0, dekg::GatherRows(n->grad, indices));
   });
 }

@@ -42,6 +42,18 @@ struct RgcnOutput {
   ag::Var tail_repr;    // [1, output_dim()]
 };
 
+// Directed message list of one subgraph encoding, in the order every
+// layer sweeps it: a forward message (rel r) then an inverse message
+// (rel r + R) per kept stored edge. target_ids conditions each message's
+// attention gate; inv_indegree [num_nodes] is the mean-aggregation scale.
+struct RgcnMessages {
+  std::vector<int64_t> src_ids;
+  std::vector<int64_t> dst_ids;
+  std::vector<int64_t> rel_ids;
+  std::vector<int64_t> target_ids;
+  Tensor inv_indegree;
+};
+
 // Output of one packed-batch encoding pass: row g of each matrix is the
 // readout of batch graph g, bit-identical to the corresponding field of
 // Forward(subgraph g, training=false). Plain tensors — the packed path is
@@ -57,19 +69,35 @@ class RgcnEncoder : public nn::Module {
  public:
   RgcnEncoder(const RgcnConfig& config, Rng* rng);
 
-  // Encodes one subgraph. `target_rel` conditions the edge attention.
-  // During training, edges are dropped with probability edge_dropout using
-  // *rng.
+  // Encodes one subgraph: LayerOp per layer over BuildMessages' list.
+  // `target_rel` conditions the edge attention. During training, edges
+  // are dropped with probability edge_dropout using *rng.
   RgcnOutput Forward(const Subgraph& subgraph, RelationId target_rel,
                      bool training, Rng* rng) const;
 
+  // The message list Forward sweeps: one forward + inverse message pair
+  // per stored edge, in edge order. With `training` and a positive
+  // edge_dropout, each edge draws one Bernoulli(edge_dropout) from *rng
+  // and is dropped on success.
+  RgcnMessages BuildMessages(const Subgraph& subgraph, RelationId target_rel,
+                             bool training, Rng* rng) const;
+
+  // Layer l as one autograd node (DESIGN.md §8). The forward is the fused
+  // pass ForwardBatch runs: attention logits, basis mix, gate and scatter
+  // in one ordered sweep over the message list, so nothing of size
+  // [messages, dim] is allocated. The node keeps the [n, dout] basis
+  // transforms, the per-message coefficient columns and the gates; its
+  // backward walks the messages with the kernels of gnn/message_kernels.h
+  // and computes every parameter gradient and h's gradient bit for bit as
+  // the per-op autograd chain of the same layer would, adding the h terms
+  // one AccumulateGrad at a time in that chain's order.
+  ag::Var LayerOp(size_t l, const ag::Var& h,
+                  std::shared_ptr<const RgcnMessages> messages) const;
+
   // Encodes K subgraphs in one pass over the packed block-diagonal batch
-  // (inference only — no edge dropout, no RNG, no autograd tape). The
-  // dense transforms reuse the tensor kernels the Var path wraps; the
-  // per-message gather → basis-mix → gate → scatter chain is fused into
-  // one pass over the packed message list that replicates the sequential
-  // per-element float expressions in the same order, so nothing of size
-  // [messages, dim] is ever materialized. Readouts are segment-aware
+  // (inference only — no edge dropout, no RNG, no autograd tape). Each
+  // layer runs LayerOp's forward on the packed message list, so nothing of
+  // size [messages, dim] is ever materialized. Readouts are segment-aware
   // (dekg::SegmentMeanRows + head/tail row gathers). Per-graph results
   // are bit-identical to K sequential Forward(·, training=false) calls:
   // every kernel on the hot path is row-independent or accumulates
@@ -115,25 +143,30 @@ class RgcnEncoder : public nn::Module {
   Tensor NodeFeatures(const Subgraph& subgraph) const;
 
  private:
-  // One message-passing layer over an explicit message list; shared by
-  // Forward and ForwardBatch (identical op sequence, hence identical bits
-  // for identical inputs). `target_ids` carries the per-message target
-  // relation for the attention gate.
-  ag::Var LayerForward(size_t l, const ag::Var& h,
-                       const std::vector<int64_t>& src_ids,
-                       const std::vector<int64_t>& dst_ids,
-                       const std::vector<int64_t>& rel_ids,
-                       const std::vector<int64_t>& target_ids,
-                       const ag::Var& inv_indegree, int64_t num_nodes) const;
+  // A borrowed message list: an RgcnMessages, or a packed batch's arrays
+  // with their inverse in-degree.
+  struct MessageView {
+    const std::vector<int64_t>& src_ids;
+    const std::vector<int64_t>& dst_ids;
+    const std::vector<int64_t>& rel_ids;
+    const std::vector<int64_t>& target_ids;
+    const Tensor& inv_indegree;
+  };
+  // What LayerOp's backward reads besides h, the parameters and the
+  // layer's output.
+  struct LayerSaved {
+    std::vector<Tensor> transformed;  // num_bases x [n, dout]: h @ B_b
+    std::vector<Tensor> coeff_cols;   // num_bases x [m, 1]
+    Tensor gate;                      // [m, 1] under edge attention
+  };
 
-  // Tape-free twin of LayerForward for the packed inference path: the
-  // same arithmetic per output element, with the per-message chain
-  // (gather, basis mix, attention gate, scatter) fused into one ordered
-  // sweep over the message list instead of materialized intermediates.
-  Tensor LayerForwardInference(size_t l, const Tensor& h,
-                               const PackedSubgraphBatch& batch,
-                               const Tensor& inv_indegree,
-                               const quant::RgcnQuantWeights* qw) const;
+  // The one layer forward (LayerOp and ForwardBatch). When `qw` is set
+  // and not fp32, the dense transforms run through the quantized GEMM.
+  // A non-null `saved` receives the tensors the backward needs.
+  Tensor FusedLayerForward(size_t l, const Tensor& h,
+                           const MessageView& messages,
+                           const quant::RgcnQuantWeights* qw,
+                           LayerSaved* saved) const;
 
   RgcnConfig config_;
   struct Layer {
@@ -148,12 +181,10 @@ class RgcnEncoder : public nn::Module {
   ag::Var att_target_rel_;  // [R, attention_rel_dim]
   std::vector<ag::Var> att_weight_;  // per layer: [2*din + 2*att_dim, 1]
   std::vector<ag::Var> att_bias_;    // per layer: [1]
-  // Constant column selectors for the basis decomposition: selector b is a
+  // Column selectors for the basis decomposition: selector b is a
   // [num_bases, 1] one-hot picking column b of the per-edge coefficient
-  // matrix. Built once here instead of per layer×basis×call; constants are
-  // never written by backward sweeps, so sharing them across concurrent
-  // tapes is safe.
-  std::vector<ag::Var> basis_selectors_;
+  // matrix, built once here instead of per layer×basis×call.
+  std::vector<Tensor> basis_selectors_;
 };
 
 }  // namespace dekg::gnn

@@ -1,12 +1,14 @@
-// Numerical gradient verification for every differentiable op: perturb each
-// input element by +-eps, compare the central-difference slope of a scalar
-// loss against the analytic gradient from Backward().
+// Numerical gradient verification for every differentiable op and the
+// fused R-GCN layer op: perturb each input element by +-eps, compare the
+// central-difference slope of a scalar loss against the analytic gradient
+// from Backward().
 #include <cmath>
 #include <functional>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "gnn/rgcn.h"
 
 namespace dekg::ag {
 namespace {
@@ -209,6 +211,71 @@ TEST(GradCheck, Conv2dInputAndKernel) {
   CheckGradients({RandomTensor({1, 2, 4, 4}, 32), RandomTensor({2, 2, 2, 2}, 33)},
                  [](const std::vector<Var>& v) {
                    return SumAll(Square(Conv2d(v[0], v[1])));
+                 });
+}
+
+// The fused R-GCN layer op, whose backward is hand-written over the
+// message list: every parameter of a two-layer jk encoder with edge
+// attention, then the input of one layer.
+TEST(GradCheck, RgcnLayerOp) {
+  gnn::RgcnConfig config;
+  config.num_relations = 2;
+  config.num_hops = 1;
+  config.hidden_dim = 3;
+  config.num_layers = 2;
+  config.num_bases = 2;
+  config.edge_dropout = 0.0f;
+  config.attention_rel_dim = 2;
+  config.jk_concat = true;
+  Rng init(5);
+  gnn::RgcnEncoder encoder(config, &init);
+  // Large layer biases keep every pre-activation off ReLU's kink.
+  for (const nn::Parameter& p : encoder.parameters()) {
+    if (p.name.rfind("layer", 0) == 0 &&
+        p.name.find(".bias") != std::string::npos) {
+      Var bias = p.var;
+      bias.mutable_value().Fill(4.0f);
+    }
+  }
+  Subgraph sub;
+  sub.nodes = {{10, 0, 1}, {11, 1, 0}, {12, 1, 1}, {13, -1, 1}};
+  sub.edges = {{0, 0, 2}, {2, 1, 1}, {3, 0, 1}, {1, 1, 3}, {0, 1, 2}};
+  const Tensor node_w = RandomTensor({4, encoder.output_dim()}, 7);
+  const auto loss = [&] {
+    return SumAll(Mul(encoder.Forward(sub, 1, /*training=*/false, nullptr)
+                          .node_states,
+                      Var::Constant(node_w)));
+  };
+  encoder.ZeroGrad();
+  loss().Backward();
+  const float eps = 1e-3f;
+  const float tol = 2e-2f;
+  for (const nn::Parameter& p : encoder.parameters()) {
+    ASSERT_TRUE(p.var.has_grad()) << p.name;
+    const Tensor analytic = p.var.grad().Clone();
+    Var param = p.var;
+    float* values = param.mutable_value().Data();
+    for (int64_t i = 0; i < analytic.numel(); ++i) {
+      const float saved = values[i];
+      values[i] = saved + eps;
+      const float up = loss().value().Data()[0];
+      values[i] = saved - eps;
+      const float down = loss().value().Data()[0];
+      values[i] = saved;
+      const float numeric = (up - down) / (2.0f * eps);
+      const float got = analytic.Data()[i];
+      const float scale = std::max({1.0f, std::fabs(numeric), std::fabs(got)});
+      EXPECT_NEAR(got, numeric, tol * scale) << p.name << " element " << i;
+    }
+  }
+
+  auto messages = std::make_shared<const gnn::RgcnMessages>(
+      encoder.BuildMessages(sub, 1, /*training=*/false, nullptr));
+  const Tensor out_w = RandomTensor({4, config.hidden_dim}, 8);
+  CheckGradients({RandomTensor({4, config.hidden_dim}, 9, 0.0f, 1.0f)},
+                 [&](const std::vector<Var>& v) {
+                   return SumAll(Mul(encoder.LayerOp(1, v[0], messages),
+                                     Var::Constant(out_w)));
                  });
 }
 

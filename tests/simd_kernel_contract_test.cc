@@ -444,6 +444,64 @@ TEST(KernelFingerprintTest, EmitsStableFingerprint) {
     adam.Step();
   }
   mix(mod.table.value().Data(), mod.table.value().numel());
+  {
+    // The R-GCN layer backward's message kernels: lane blocks plus tails
+    // (dout, din, m all off the lane width), duplicate endpoints.
+    const int64_t num_nodes = 9;
+    const int64_t dout = kLanes + 3;
+    const int64_t din = kLanes + 1;
+    const int64_t att_dim = 3;
+    const std::vector<int64_t> src = {0, 3, 3, 7, 8, 2, 5, 1, 4, 6, 0};
+    const std::vector<int64_t> dst = {1, 1, 4, 0, 6, 6, 6, 2, 2, 5, 7};
+    const std::vector<int64_t> rel = {0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1};
+    const std::vector<int64_t> tgt(src.size(), 1);
+    const int64_t m = static_cast<int64_t>(src.size());
+    std::vector<Tensor> transformed, coeffs, d_transformed, d_coeffs;
+    std::vector<const float*> pt, pc;
+    std::vector<float*> pdt, pdc;
+    for (int64_t b = 0; b < 3; ++b) {
+      transformed.push_back(
+          RandomTensor({num_nodes, dout}, 5101 + static_cast<uint64_t>(b)));
+      coeffs.push_back(RandomTensor({m}, 5111 + static_cast<uint64_t>(b)));
+      d_transformed.push_back(Tensor::Zeros({num_nodes, dout}));
+      d_coeffs.push_back(Tensor::Zeros({m}));
+    }
+    for (size_t b = 0; b < transformed.size(); ++b) {
+      pt.push_back(transformed[b].Data());
+      pc.push_back(coeffs[b].Data());
+      pdt.push_back(d_transformed[b].Data());
+      pdc.push_back(d_coeffs[b].Data());
+    }
+    Tensor gate = RandomTensor({m}, 5121);
+    Tensor out_grad = RandomTensor({num_nodes, dout}, 5123);
+    Tensor gate_grad = Tensor::Zeros({m});
+    gnn::FusedMessageSweepBackward(src, dst, pt, pc, gate.Data(),
+                                   out_grad.Data(), dout, pdt, pdc,
+                                   gate_grad.Data());
+    for (size_t b = 0; b < transformed.size(); ++b) {
+      mix(d_transformed[b].Data(), d_transformed[b].numel());
+      mix(d_coeffs[b].Data(), d_coeffs[b].numel());
+    }
+    mix(gate_grad.Data(), gate_grad.numel());
+    Tensor h = RandomTensor({num_nodes, din}, 5131);
+    Tensor rel_emb = RandomTensor({3, att_dim}, 5133);
+    Tensor tgt_emb = RandomTensor({2, att_dim}, 5137);
+    Tensor w = RandomTensor({2 * din + 2 * att_dim, 1}, 5139);
+    Tensor logit_grad = RandomTensor({m}, 5141);
+    Tensor h_src_grad = Tensor::Zeros({num_nodes, din});
+    Tensor h_dst_grad = Tensor::Zeros({num_nodes, din});
+    Tensor rel_grad = Tensor::Zeros({3, att_dim});
+    Tensor tgt_grad = Tensor::Zeros({2, att_dim});
+    Tensor w_grad(w.shape());
+    gnn::FusedAttentionLogitsBackward(
+        src, dst, rel, tgt, h.Data(), din, rel_emb.Data(), tgt_emb.Data(),
+        att_dim, w.Data(), logit_grad.Data(), h_src_grad.Data(),
+        h_dst_grad.Data(), rel_grad.Data(), tgt_grad.Data(), w_grad.Data());
+    for (const Tensor* t :
+         {&h_src_grad, &h_dst_grad, &rel_grad, &tgt_grad, &w_grad}) {
+      mix(t->Data(), t->numel());
+    }
+  }
 
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx\n",
