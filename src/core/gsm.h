@@ -60,8 +60,6 @@ class Gsm : public nn::Module {
   const GsmConfig& config() const { return config_; }
 
   // The extraction parameters Extract() runs with, as a SubgraphConfig.
-  // The serve layer's ingest-patch path uses the same values so a patched
-  // rebuild is bit-identical to what Extract would produce.
   SubgraphConfig subgraph_config() const {
     SubgraphConfig sc;
     sc.num_hops = config_.num_hops;

@@ -147,9 +147,8 @@ void BfsDistancesSparse(const KnowledgeGraph& g, EntityId source,
 }
 
 // Appends u as a candidate node when the labeling policy keeps it. Shared
-// by every candidate source — the sparse touched-union walk, the dense
-// reference scan, and the sparse label rebuild — so the paths cannot
-// drift.
+// by both candidate sources — the sparse touched-union walk and the dense
+// reference scan — so the paths cannot drift.
 void AppendCandidate(EntityId u, int32_t dh, int32_t dt,
                      const SubgraphConfig& config,
                      std::vector<ExtractCandidate>* candidates) {
@@ -184,12 +183,10 @@ size_t KeepCount(const SubgraphConfig& config, size_t num_candidates) {
 
 // Node ordering, the max_nodes cap, and induced-edge enumeration, given
 // candidates (in the workspace buffer) in ascending-entity order with
-// exact blocked-BFS labels. ExtractSubgraph and BuildSubgraphFromLabels
-// both end here, which is what makes a rebuild from patched labels
-// bit-identical to a fresh extraction. Membership state lives in stamped
-// flat workspace arrays (one fresh stamp per call) instead of per-call
-// hash containers; the containers were membership-only, so the swap
-// cannot change any output bit.
+// exact blocked-BFS labels: the sparse half of ExtractSubgraph.
+// Membership state lives in stamped flat workspace arrays (one fresh
+// stamp per call) instead of per-call hash containers; the containers
+// were membership-only, so the swap cannot change any output bit.
 Subgraph AssembleSubgraph(const KnowledgeGraph& g, EntityId head,
                           EntityId tail, RelationId target_rel,
                           const SubgraphConfig& config,
@@ -380,39 +377,6 @@ Subgraph ExtractSubgraphDense(const KnowledgeGraph& g, EntityId head,
                                std::move(candidates));
 }
 
-Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
-                                 EntityId tail, RelationId target_rel,
-                                 const SubgraphConfig& config,
-                                 const TouchedLabels& labels,
-                                 SubgraphWorkspace* ws) {
-  DEKG_CHECK(g.built());
-  DEKG_CHECK_EQ(labels.entities.size(), labels.dist_head.size());
-  DEKG_CHECK_EQ(labels.entities.size(), labels.dist_tail.size());
-  ws->EnsureNodeCapacity(g.num_entities());
-  ws->EnsureEdgeCapacity(g.num_triples());
-  ws->ReserveStamps(1);
-  // labels.entities is ascending, so candidate order matches the
-  // extraction path's touched-union walk exactly.
-  ws->candidates.clear();
-  ws->candidates.reserve(labels.entities.size());
-  for (size_t i = 0; i < labels.entities.size(); ++i) {
-    const EntityId u = labels.entities[i];
-    if (u == head || u == tail) continue;
-    AppendCandidate(u, labels.dist_head[i], labels.dist_tail[i], config,
-                    &ws->candidates);
-  }
-  return AssembleSubgraph(g, head, tail, target_rel, config, ws);
-}
-
-Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
-                                 EntityId tail, RelationId target_rel,
-                                 const SubgraphConfig& config,
-                                 const TouchedLabels& labels) {
-  SubgraphWorkspace workspace;
-  return BuildSubgraphFromLabels(g, head, tail, target_rel, config, labels,
-                                 &workspace);
-}
-
 std::vector<EntityId> TouchedEntities(const SubgraphWorkspace& workspace) {
   return workspace.touched;
 }
@@ -428,71 +392,6 @@ TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace) {
     out.dist_tail.push_back(static_cast<int8_t>(workspace.TailDistance(u)));
   }
   return out;
-}
-
-bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
-                                   EntityId blocked, int32_t max_depth,
-                                   const std::vector<Triple>& new_edges,
-                                   const std::vector<EntityId>& entities,
-                                   std::vector<int8_t>* dist, bool* changed) {
-  DEKG_CHECK_EQ(entities.size(), dist->size());
-  DEKG_CHECK_GE(max_depth, 1);
-  DEKG_CHECK_LE(max_depth, TouchedLabels::kMaxLabelHops);
-  const auto local = [&entities](EntityId e) -> int64_t {
-    const auto it = std::lower_bound(entities.begin(), entities.end(), e);
-    if (it == entities.end() || *it != e) return -1;
-    return it - entities.begin();
-  };
-  // Every extraction's field holds its own source at distance 0, so this
-  // catches a caller that hands over the other endpoint's field.
-  const int64_t ls = local(source);
-  DEKG_CHECK(ls >= 0 && (*dist)[static_cast<size_t>(ls)] == 0)
-      << "RelaxDistancesAfterEdgeInsert: source " << source
-      << " is not at distance 0 in the field";
-  // Worklist of nodes whose outgoing relaxations may shorten a neighbor:
-  // the new edges' endpoints that already carry a finite field distance
-  // below the radius. Nodes improved during propagation re-enter the list,
-  // so improvement chains through several new edges of one batch converge
-  // to the exact fixpoint (distances only decrease; each node re-enters at
-  // most max_depth times).
-  std::vector<EntityId> queue;
-  for (const Triple& t : new_edges) {
-    for (const EntityId e : {t.head, t.tail}) {
-      if (e == blocked) continue;
-      const int64_t li = local(e);
-      if (li < 0) continue;  // outside the ball: cannot seed this field
-      const int32_t d = (*dist)[static_cast<size_t>(li)];
-      if (d >= 0 && d < max_depth) queue.push_back(e);
-    }
-  }
-  for (size_t qi = 0; qi < queue.size(); ++qi) {
-    const EntityId u = queue[qi];
-    const int64_t lu = local(u);
-    const int32_t du = (*dist)[static_cast<size_t>(lu)];
-    if (du < 0 || du >= max_depth) continue;
-    const int32_t nd = du + 1;
-    for (int32_t eid : g.IncidentEdges(u)) {
-      const Edge& e = g.edge(eid);
-      const EntityId v = e.src == u ? e.dst : e.src;
-      if (v == blocked) continue;
-      const int64_t lv = local(v);
-      if (lv < 0) {
-        // v was outside both t-hop balls and now sits at distance
-        // nd <= max_depth: subgraph membership changes. This is exact —
-        // old edges of u were fully explored by the original BFS (du was
-        // already < max_depth there, or u's distance just dropped below
-        // it), so every out-of-set neighbor reached here really does
-        // enter the ball.
-        return false;
-      }
-      const int32_t dv = (*dist)[static_cast<size_t>(lv)];
-      if (dv >= 0 && dv <= nd) continue;
-      (*dist)[static_cast<size_t>(lv)] = static_cast<int8_t>(nd);
-      *changed = true;
-      if (nd < max_depth) queue.push_back(v);
-    }
-  }
-  return true;
 }
 
 int64_t SubgraphPayloadBytes(const Subgraph& s) {

@@ -183,7 +183,7 @@ void ResetExtractionCounters();
 // BFS distances from `source` to every node, avoiding `blocked` (distance
 // computed as if `blocked` were deleted). Unreached nodes get -1. Distances
 // greater than `max_depth` are not explored. O(num_entities): this is the
-// dense reference form, used by tests and the patch property checks.
+// dense reference form, used by tests and benches.
 std::vector<int32_t> BfsDistances(const KnowledgeGraph& g, EntityId source,
                                   EntityId blocked, int32_t max_depth);
 
@@ -207,7 +207,7 @@ Subgraph ExtractSubgraph(const KnowledgeGraph& g, EntityId head,
 // stamped blocked-BFS distance fields and the ascending touched set —
 // which TouchedEntities / TouchedEntityLabels below consume in
 // O(touched). That state stays valid until the workspace's next
-// extraction or rebuild.
+// extraction.
 Subgraph ExtractSubgraph(const KnowledgeGraph& g, EntityId head,
                          EntityId tail, RelationId target_rel,
                          const SubgraphConfig& config,
@@ -229,20 +229,23 @@ Subgraph ExtractSubgraphDense(const KnowledgeGraph& g, EntityId head,
 // can only change an extraction when at least one of its endpoints lies
 // in this set — to alter either BFS field it must be reached through a
 // node at blocked distance <= t-1, which is itself in the set, and an
-// edge newly induced between kept nodes has both endpoints in it. The
-// serve-layer cache invalidation indexes cached subgraphs by this set.
+// edge newly induced between kept nodes has both endpoints in it. So
+// dropping every cached extraction whose touched set holds a new edge's
+// endpoint is exact: nothing stale survives, and an extraction left
+// resident is bit-identical to a fresh one on the grown graph. The serve
+// cache (serve::ShardCache) indexes its resident subgraphs by this set
+// and invalidates on ingest by that rule.
 // O(touched): reads the workspace's stored union, no entity scan.
 std::vector<EntityId> TouchedEntities(const SubgraphWorkspace& workspace);
 
 // Sparse restriction of the two blocked-BFS distance fields to the touched
 // set: entities[i] ascending, dist_head[i]/dist_tail[i] its labels (-1 =
-// outside that field's t-hop ball). This is everything an extraction
-// depends on besides the graph itself, and it is small — O(touched set),
-// not O(num_entities) — so the serve layer keeps one per cached subgraph
-// to support in-place patching under ingest. A distance lies in
-// -1..num_hops, so it is stored in one signed byte: 6 bytes per touched
-// entity. ExtractSubgraph and RelaxDistancesAfterEdgeInsert check
-// num_hops <= kMaxLabelHops, so no label is ever narrowed.
+// outside that field's t-hop ball). Nothing in src/ reads the distances
+// any more; the struct is kept only because the benchmark program still
+// counts touched entities through TouchedEntityLabels, and can go when it
+// calls TouchedEntities instead. A distance lies in -1..num_hops and is
+// stored in one signed byte, so ExtractSubgraph checks num_hops <=
+// kMaxLabelHops and no label is ever narrowed.
 struct TouchedLabels {
   static constexpr int32_t kMaxLabelHops = 127;
   std::vector<EntityId> entities;
@@ -253,55 +256,6 @@ struct TouchedLabels {
 // TouchedEntities plus the distance labels, read from the same sparse
 // workspace state in O(touched).
 TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace);
-
-// In-place decrease-only re-relaxation of one blocked-BFS distance field
-// after new edges were appended to `g` (which must already contain them).
-// `entities` is the ascending touched set of the original extraction and
-// *dist the one-byte field being patched in place (aligned with
-// `entities`); `source` must sit in `entities` at distance 0 in that
-// field, and max_depth must be at most TouchedLabels::kMaxLabelHops
-// (both checked). New edges can only shorten distances, so the fixpoint
-// is reached by label-correcting relaxation seeded from the new edges'
-// endpoints; propagation walks g.IncidentEdges, so improvements that
-// chain through several new edges of one batch are found.
-//
-// Returns false when some entity OUTSIDE `entities` would acquire a
-// distance <= max_depth — i.e. a new node enters the t-hop ball, changing
-// subgraph membership — in which case *dist is unspecified and the caller
-// must fall back to full re-extraction. The detection is exact: relaxation
-// only reaches an outside entity through an in-set node u with new
-// distance < max_depth, and every such attempted improvement corresponds
-// to a real path, so `false` fires iff membership really changed for this
-// field. On true, *dist holds exactly the fresh blocked-BFS field
-// restricted to `entities`, and *changed is set when any value moved.
-bool RelaxDistancesAfterEdgeInsert(const KnowledgeGraph& g, EntityId source,
-                                   EntityId blocked, int32_t max_depth,
-                                   const std::vector<Triple>& new_edges,
-                                   const std::vector<EntityId>& entities,
-                                   std::vector<int8_t>* dist, bool* changed);
-
-// Rebuilds the labeled subgraph for (head, ?, tail) from sparse labels
-// instead of running the two blocked BFS passes. `labels` must equal the
-// fresh fields restricted to the fresh touched set (the invariant
-// RelaxDistancesAfterEdgeInsert maintains when it returns true). The
-// result is bit-identical to ExtractSubgraph by construction: candidate
-// generation walks labels.entities in the same ascending-entity order the
-// extraction path uses, and node ordering, the max_nodes cap, and
-// induced-edge enumeration run through the exact same assembly code. Cost
-// is O(|touched| log |touched| + induced edges) — no O(num_entities) work.
-Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
-                                 EntityId tail, RelationId target_rel,
-                                 const SubgraphConfig& config,
-                                 const TouchedLabels& labels);
-
-// Workspace-reusing form (hot ingest-patch loops). Consumes assembly
-// scratch + one stamp; does not disturb the workspace's distance fields
-// or touched set except through a (rare) stamp-wrap reset.
-Subgraph BuildSubgraphFromLabels(const KnowledgeGraph& g, EntityId head,
-                                 EntityId tail, RelationId target_rel,
-                                 const SubgraphConfig& config,
-                                 const TouchedLabels& labels,
-                                 SubgraphWorkspace* workspace);
 
 // Bytes of a subgraph's node and edge arrays (sizes, not capacities): the
 // payload SubgraphCache and the serve shards' serve::ShardCache account.

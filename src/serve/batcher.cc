@@ -242,9 +242,6 @@ StatsResponse MicroBatcher::BuildStats() {
   stats.cache_entries = engine.cache_entries;
   stats.cache_evictions = engine.cache_evictions;
   stats.cache_invalidated = engine.cache_invalidated;
-  stats.cache_patched = engine.cache_patched;
-  stats.cache_repaired = engine.cache_repaired;
-  stats.cache_fallback = engine.cache_fallback;
   stats.cache_bytes = engine.cache_bytes;
   stats.graph_triples = engine.graph_triples;
   stats.graph_entities = engine.graph_entities;
@@ -263,9 +260,6 @@ StatsResponse MicroBatcher::BuildStats() {
     block.cache_hits = one.cache_hits;
     block.cache_misses = one.cache_misses;
     block.cache_entries = one.cache_entries;
-    block.cache_patched = one.cache_patched;
-    block.cache_repaired = one.cache_repaired;
-    block.cache_fallback = one.cache_fallback;
     stats.shards.push_back(block);
   }
   return stats;

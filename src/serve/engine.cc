@@ -97,7 +97,7 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
   std::vector<const Subgraph*> subs;
   std::vector<Triple> miss;  // distinct missed triples, first-seen order
   std::vector<Subgraph> miss_subs;
-  std::vector<TouchedLabels> miss_labels;
+  std::vector<std::vector<EntityId>> miss_touched;
   if (gsm != nullptr) {
     subs.assign(n, nullptr);
     std::vector<size_t> miss_slot(n, 0);
@@ -111,11 +111,10 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
     }
     // Phase 2 (parallel): extract the misses into batch-local storage.
     // Extraction is RNG-free and reads only the const snapshot graph;
-    // the sparse touched-set labels are captured from each workspace —
-    // they feed the touched-entity index and the ingest-patch
-    // re-relaxation.
+    // each touched set is captured from the workspace for the
+    // touched-entity postings.
     miss_subs.resize(miss.size());
-    miss_labels.resize(miss.size());
+    miss_touched.resize(miss.size());
     ParallelFor(0, static_cast<int64_t>(miss.size()), /*grain=*/0,
                 [&](int64_t begin, int64_t end) {
                   SubgraphWorkspace* workspace =
@@ -123,8 +122,8 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
                   for (int64_t m = begin; m < end; ++m) {
                     miss_subs[static_cast<size_t>(m)] =
                         gsm->Extract(g, miss[static_cast<size_t>(m)], workspace);
-                    miss_labels[static_cast<size_t>(m)] =
-                        TouchedEntityLabels(*workspace);
+                    miss_touched[static_cast<size_t>(m)] =
+                        TouchedEntities(*workspace);
                   }
                 });
     for (size_t i = 0; i < n; ++i) {
@@ -152,7 +151,7 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
   // this same batch still needs. Admitted entries were extracted from
   // `snap`, which CatchUpCache made the cache consistent with above.
   for (size_t m = 0; m < miss.size(); ++m) {
-    cache_.Admit(miss[m], std::move(miss_subs[m]), std::move(miss_labels[m]));
+    cache_.Admit(miss[m], std::move(miss_subs[m]), miss_touched[m]);
   }
   return scores;
 }
@@ -166,17 +165,13 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   // graph is a strict supergraph, so every entry is suspect.
   memo_.clear();
 
-  // The missed epochs' batches, oldest first: the snapshot's edges from
-  // the caught-up edge count on. Ingest only appends edges, so the
-  // snapshot graph equals the caught-up graph plus exactly these triples
-  // — the same shape as a single larger ingest, which is what the patch
-  // predicate below reasons about.
+  // The missed epochs' edges: the snapshot's edges from the caught-up
+  // edge count on. Ingest only appends edges, so the snapshot graph
+  // equals the caught-up graph plus exactly these.
   const KnowledgeGraph& g = snap.graph;
-  std::vector<Triple> combined;
   std::vector<EntityId> touched;
   for (int64_t id = caught_up_edges_; id < g.num_triples(); ++id) {
     const Edge& e = g.edge(id);
-    combined.push_back(Triple{e.src, e.rel, e.dst});
     touched.push_back(e.src);
     touched.push_back(e.dst);
   }
@@ -185,61 +180,13 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
   caught_up_epoch_ = snap.epoch;
   caught_up_edges_ = g.num_triples();
 
-  // Maintain exactly the cached extractions a new edge can affect: those
-  // whose touched set contains an endpoint of a combined-batch triple.
+  // Invalidate exactly the cached extractions a new edge can affect:
+  // those whose touched set holds an endpoint of one (TouchedEntities in
+  // graph/subgraph.h has the argument). The next lookup re-extracts.
   const std::vector<Triple> affected = cache_.Affected(touched);
-
-  const core::Gsm* gsm = model_->gsm();
-  if (!config_.patch_cache || gsm == nullptr) {
-    // Invalidate-on-ingest: drop every affected entry; the next lookup
-    // pays a full re-extraction.
-    for (const Triple& key : affected) cache_.Remove(key);
-    invalidated_ += affected.size();
-    if (response != nullptr) response->invalidated += affected.size();
-    return;
-  }
-
-  // Patch in place (DESIGN.md §13). The snapshot graph already contains
-  // the combined edges, so decrease-only re-relaxation from the new-edge
-  // endpoints reaches the exact fresh blocked-BFS fixpoint over the
-  // cached touched set — unless a node outside that set would be pulled
-  // into the t-hop ball (membership change), in which case the entry
-  // falls back to invalidation + full re-extraction on its next lookup.
-  const SubgraphConfig sc = gsm->subgraph_config();
-  uint64_t removed = 0;
-  for (const Triple& key : affected) {
-    TouchedLabels& labels = *cache_.Labels(key);
-    bool head_changed = false;
-    bool tail_changed = false;
-    const bool patchable =
-        RelaxDistancesAfterEdgeInsert(g, key.head, key.tail, sc.num_hops,
-                                      combined, labels.entities,
-                                      &labels.dist_head, &head_changed) &&
-        RelaxDistancesAfterEdgeInsert(g, key.tail, key.head, sc.num_hops,
-                                      combined, labels.entities,
-                                      &labels.dist_tail, &tail_changed);
-    if (!patchable) {
-      cache_.Remove(key);
-      ++fallback_;
-      ++invalidated_;
-      ++removed;
-      continue;
-    }
-    // The touched union set is unchanged, so the key's postings stay
-    // valid; the rebuild goes through the same assembly path fresh
-    // extraction uses, so the swapped payload is bit-identical to
-    // ExtractSubgraph on the snapshot graph.
-    cache_.Patch(key, BuildSubgraphFromLabels(g, key.head, key.tail, key.rel,
-                                              sc, labels, &patch_workspace_));
-    if (head_changed || tail_changed) {
-      ++repaired_;
-      if (response != nullptr) ++response->repaired;
-    } else {
-      ++patched_;
-      if (response != nullptr) ++response->patched;
-    }
-  }
-  if (response != nullptr) response->invalidated += removed;
+  for (const Triple& key : affected) cache_.Remove(key);
+  invalidated_ += affected.size();
+  if (response != nullptr) response->invalidated += affected.size();
 }
 
 EngineStats InferenceEngine::Stats() const {
@@ -251,9 +198,6 @@ EngineStats InferenceEngine::Stats() const {
   stats.cache_bytes = static_cast<uint64_t>(cs.bytes);
   stats.cache_evictions = static_cast<uint64_t>(cs.evictions);
   stats.cache_invalidated = invalidated_;
-  stats.cache_patched = patched_;
-  stats.cache_repaired = repaired_;
-  stats.cache_fallback = fallback_;
   stats.index_bytes = static_cast<uint64_t>(cache_.index_bytes());
   stats.index_sweeps = static_cast<uint64_t>(cache_.sweeps());
   // Graph counters come off the published snapshot so Stats is safe to

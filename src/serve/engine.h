@@ -7,12 +7,12 @@
 // SnapshotWriter, which it never ingests into. It reads graph + CLRM
 // rows from epoch-tagged immutable snapshots (serve/snapshot.h): at the
 // start of every ScoreBatch it loads the current snapshot and, if epochs
-// advanced since it last looked, takes the edges appended since the edge
-// count it caught up to as one combined batch and runs the cache
-// maintenance against it. That is sound because ingest only appends
-// edges: the snapshot graph equals the cached graph plus the combined
-// batch, which is precisely the situation the patch/repair/fallback
-// predicate handles (DESIGN.md §13).
+// advanced since it last looked, takes the endpoints of the edges
+// appended since the edge count it caught up to and invalidates every
+// resident subgraph whose touched set holds one (DESIGN.md §13). That
+// is sound because ingest only appends edges: the snapshot graph equals
+// the cached graph plus those edges, and a cached extraction that no new
+// edge touches is exactly what a fresh extraction would return.
 //
 // Three operations, all invoked from one thread at a time (the
 // scheduler thread, or one router fan-out worker per shard):
@@ -32,8 +32,8 @@
 // thread count. ScoreItem::seed only keys the score memo. At fp32 a score
 // equals DekgIlpPredictor::ScoreTriples on the statically built
 // equivalent graph bit for bit: both run core::ScoreInference, the
-// snapshot rows are the predictor's fused rows, and cached, patched, and
-// fresh extractions are identical by determinism of extraction.
+// snapshot rows are the predictor's fused rows, and cached and fresh
+// extractions are identical by determinism of extraction.
 #ifndef DEKG_SERVE_ENGINE_H_
 #define DEKG_SERVE_ENGINE_H_
 
@@ -59,14 +59,6 @@ struct EngineConfig {
   // Packed-batch grouping handed to core::ScoreInference. Bitwise
   // transparent (DESIGN.md §11); servers keep the default.
   core::GsmBatchOptions gsm_batch;
-  // In-place maintenance of affected cached subgraphs on ingest (patch /
-  // repair, with fallback invalidation only on membership change). False
-  // invalidates every affected entry instead: the reference policy that
-  // cache_patch_differential_test steps beside the patching engine. Under
-  // sustained DEKG churn it degenerates into a miss storm where
-  // re-extraction dominates scoring latency. Scores are bit-identical
-  // either way.
-  bool patch_cache = true;
   // Score memo: finished scores keyed by (triple, item seed), valid for
   // one snapshot epoch (flushed whenever the cache catches up to a newer
   // epoch, since scores depend on the graph). A score is a pure function
@@ -103,13 +95,9 @@ struct EngineStats {
   uint64_t cache_entries = 0;
   uint64_t cache_evictions = 0;    // capacity-driven removals
   uint64_t cache_invalidated = 0;  // ingest-driven removals
-  uint64_t cache_patched = 0;      // ingest patches with unchanged labels
-  uint64_t cache_repaired = 0;     // ingest patches that re-relaxed labels
-  uint64_t cache_fallback = 0;     // membership changed: invalidated for
-                                   // full re-extraction
   uint64_t cache_bytes = 0;  // subgraph payload only
-  // Touched-entity index: label + posting bytes
-  // (ShardCache::index_bytes) and full sweeps of its stale postings.
+  // Touched-entity index: posting bytes (ShardCache::index_bytes) and
+  // full sweeps of its stale postings.
   uint64_t index_bytes = 0;
   uint64_t index_sweeps = 0;
   uint64_t graph_triples = 0;
@@ -143,11 +131,10 @@ class InferenceEngine {
   // the graph only grows).
   std::vector<double> ScoreBatch(const std::vector<ScoreItem>& items);
 
-  // Brings the cache up to `snap`'s epoch: takes the snapshot's edges
-  // appended since the last catch-up, in id order (= ingest order,
-  // duplicates included), as one combined batch and patches / repairs /
-  // drops exactly the affected resident entries. When `response` is non-null the
-  // invalidated/patched/repaired counters are ADDED to it (the router
+  // Brings the cache up to `snap`'s epoch: takes the endpoints of the
+  // snapshot's edges appended since the last catch-up and drops exactly
+  // the resident entries whose touched set holds one. When `response` is
+  // non-null the drop count is ADDED to its `invalidated` (the router
   // accumulates one response across shards). No-op when already caught
   // up.
   void CatchUpCache(const GraphSnapshot& snap, IngestResponse* response);
@@ -189,19 +176,14 @@ class InferenceEngine {
   std::unique_ptr<quant::RgcnQuantWeights> qweights_;
 
   // The snapshot epoch (and that snapshot's edge count) the cache state
-  // is consistent with: every resident entry's labels are a fresh
-  // blocked-BFS fixpoint against the graph at this epoch.
+  // is consistent with: every resident subgraph equals a fresh
+  // extraction against the graph at this epoch.
   uint64_t caught_up_epoch_ = 0;
   int64_t caught_up_edges_ = 0;
 
-  // The resident subgraphs (FIFO at config_.cache_capacity), each with
-  // the sparse labels ingest-patching re-relaxes, and, inverted, the keys
-  // each entity's new edges can affect.
+  // The resident subgraphs (FIFO at config_.cache_capacity) and,
+  // inverted, the keys each entity's new edges can affect.
   ShardCache cache_;
-
-  // Reusable stamped workspace for the single-writer ingest-patch path's
-  // label rebuilds (CatchUpCache only; never shared with the read path).
-  SubgraphWorkspace patch_workspace_;
 
   // Finished-score memo for the caught-up epoch (see
   // EngineConfig::score_memo_capacity). Flushed by CatchUpCache on every
@@ -211,9 +193,6 @@ class InferenceEngine {
   uint64_t memo_misses_ = 0;
 
   uint64_t invalidated_ = 0;
-  uint64_t patched_ = 0;
-  uint64_t repaired_ = 0;
-  uint64_t fallback_ = 0;
 };
 
 }  // namespace dekg::serve

@@ -113,9 +113,8 @@ struct IngestResponse {
   uint32_t duplicates = 0;     // accepted triples already present (kept;
                                // multiplicity feeds the CLRM tables)
   uint64_t invalidated = 0;    // subgraph-cache entries invalidated
-                               // (patch mode: membership-change fallbacks)
-  uint64_t patched = 0;        // cache entries rebuilt, labels unchanged
-  uint64_t repaired = 0;       // cache entries rebuilt after re-relaxation
+  uint64_t patched = 0;        // always 0; removed in v5
+  uint64_t repaired = 0;       // always 0; removed in v5
   uint32_t new_entities = 0;   // entity-id space growth
 };
 
@@ -127,9 +126,9 @@ struct ShardStatsBlock {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_entries = 0;
-  uint64_t cache_patched = 0;
-  uint64_t cache_repaired = 0;
-  uint64_t cache_fallback = 0;
+  uint64_t cache_patched = 0;   // always 0; removed in v5
+  uint64_t cache_repaired = 0;  // always 0; removed in v5
+  uint64_t cache_fallback = 0;  // always 0; removed in v5
 };
 
 // Operational counters for the STATS surface. Latencies are measured with
@@ -152,9 +151,9 @@ struct StatsResponse {
   uint64_t cache_entries = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_invalidated = 0;
-  uint64_t cache_patched = 0;
-  uint64_t cache_repaired = 0;
-  uint64_t cache_fallback = 0;
+  uint64_t cache_patched = 0;   // always 0; removed in v5
+  uint64_t cache_repaired = 0;  // always 0; removed in v5
+  uint64_t cache_fallback = 0;  // always 0; removed in v5
   uint64_t cache_bytes = 0;
   // Live graph.
   uint64_t graph_triples = 0;

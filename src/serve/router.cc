@@ -86,9 +86,6 @@ EngineStats Router::Stats() const {
     total.cache_entries += one.cache_entries;
     total.cache_evictions += one.cache_evictions;
     total.cache_invalidated += one.cache_invalidated;
-    total.cache_patched += one.cache_patched;
-    total.cache_repaired += one.cache_repaired;
-    total.cache_fallback += one.cache_fallback;
     total.cache_bytes += one.cache_bytes;
     total.index_bytes += one.index_bytes;
     total.index_sweeps += one.index_sweeps;

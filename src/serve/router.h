@@ -6,7 +6,7 @@
 // and maintenance bookkeeping; the graph and CLRM rows are shared
 // read-only through epoch snapshots, so "a shard's CLRM rows" means the
 // rows its cached extractions reference — ownership governs cache and
-// patch responsibility, not row storage (a triple needs both endpoints'
+// invalidation responsibility, not row storage (a triple needs both endpoints'
 // rows, which may hash to different shards; splitting row storage would
 // force a cross-shard read on nearly every score).
 //
@@ -24,7 +24,7 @@
 // Ingest goes through the writer once; with synchronous_maintenance
 // (the deterministic server default) every shard's cache is caught up
 // before Ingest returns, and the response carries the summed
-// patched/repaired/invalidated counters. With it off, Ingest returns as
+// invalidated count. With it off, Ingest returns as
 // soon as the new snapshot is published and each shard catches up at
 // its next ScoreBatch — that is the concurrent-reader mode the snapshot
 // churn test exercises (a reader scoring concurrently with the writer
@@ -56,7 +56,7 @@ struct RouterConfig {
   // Per-shard engine configuration. cache_capacity applies per shard.
   EngineConfig engine;
   // true: Ingest catches every shard's cache up before returning, so
-  // ingest responses carry exact patched/repaired/invalidated counts and
+  // ingest responses carry exact invalidated counts and
   // the scheduler-serialized server answers exactly as one engine
   // would. false: Ingest returns at snapshot publication; shards catch
   // up lazily at their next ScoreBatch (readers never wait for ingest).

@@ -7,33 +7,23 @@
 
 namespace dekg::serve {
 
-namespace {
-
-int64_t LabelBytes(const TouchedLabels& labels) {
-  return static_cast<int64_t>(
-      labels.entities.capacity() * sizeof(EntityId) +
-      labels.dist_head.capacity() * sizeof(int8_t) +
-      labels.dist_tail.capacity() * sizeof(int8_t));
-}
-
-}  // namespace
-
 ShardCache::ShardCache(int64_t capacity) : capacity_(capacity) {
   DEKG_CHECK_GE(capacity, 0);
 }
 
 const Subgraph* ShardCache::Lookup(const Triple& key) {
+  const Subgraph* found = Find(key);
+  ++(found != nullptr ? stats_.hits : stats_.misses);
+  return found;
+}
+
+const Subgraph* ShardCache::Find(const Triple& key) const {
   const auto it = slot_of_.find(key);
-  if (it == slot_of_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return &slots_[it->second].subgraph;
+  return it == slot_of_.end() ? nullptr : &slots_[it->second].subgraph;
 }
 
 void ShardCache::Admit(const Triple& key, Subgraph subgraph,
-                       TouchedLabels labels) {
+                       const std::vector<EntityId>& touched) {
   while (capacity_ > 0 && stats_.entries >= capacity_) {
     Free(head_);
     ++stats_.evictions;
@@ -57,7 +47,7 @@ void ShardCache::Admit(const Triple& key, Subgraph subgraph,
   tail_ = s;
   const Posting posting = s | uint32_t{slot.generation} << 24;
   size_t grown = 0;  // posting capacity added
-  for (const EntityId e : labels.entities) {
+  for (const EntityId e : touched) {
     const size_t i = static_cast<size_t>(e);
     if (i >= postings_.size()) postings_.resize(i + 1);
     std::vector<Posting>& list = postings_[i];
@@ -66,9 +56,8 @@ void ShardCache::Admit(const Triple& key, Subgraph subgraph,
     grown += list.capacity() - capacity;
   }
   posting_bytes_ += static_cast<int64_t>(grown * sizeof(Posting));
-  live_ += static_cast<int64_t>(labels.entities.size());
-  label_bytes_ += LabelBytes(labels);
-  slot.labels = std::move(labels);
+  slot.posted = static_cast<uint32_t>(touched.size());
+  live_ += slot.posted;
   stats_.bytes += SubgraphPayloadBytes(subgraph);
   slot.subgraph = std::move(subgraph);
   ++stats_.entries;
@@ -78,21 +67,6 @@ bool ShardCache::Remove(const Triple& key) {
   const auto it = slot_of_.find(key);
   if (it == slot_of_.end()) return false;
   Free(it->second);
-  return true;
-}
-
-TouchedLabels* ShardCache::Labels(const Triple& key) {
-  const auto it = slot_of_.find(key);
-  return it == slot_of_.end() ? nullptr : &slots_[it->second].labels;
-}
-
-bool ShardCache::Patch(const Triple& key, Subgraph subgraph) {
-  const auto it = slot_of_.find(key);
-  if (it == slot_of_.end()) return false;
-  Subgraph& resident = slots_[it->second].subgraph;
-  stats_.bytes +=
-      SubgraphPayloadBytes(subgraph) - SubgraphPayloadBytes(resident);
-  resident = std::move(subgraph);
   return true;
 }
 
@@ -133,15 +107,12 @@ void ShardCache::Free(uint32_t s) {
   Unlink(s);
   Slot& slot = slots_[s];
   slot_of_.erase(slot.key);
-  const int64_t posted = static_cast<int64_t>(slot.labels.entities.size());
-  label_bytes_ -= LabelBytes(slot.labels);
-  slot.labels = TouchedLabels{};
   stats_.bytes -= SubgraphPayloadBytes(slot.subgraph);
   slot.subgraph = Subgraph{};
   --stats_.entries;
   free_slots_.push_back(s);
-  live_ -= posted;
-  stale_ += posted;
+  live_ -= slot.posted;
+  stale_ += slot.posted;
   // Sweep right after a wrapping bump, so the slot leaves the wrap with
   // no postings (see the header comment).
   if (++slot.generation == slot.swept_generation ||

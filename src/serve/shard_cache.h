@@ -1,21 +1,19 @@
 // The resident store of one serve shard (DESIGN.md §13). It makes every
-// residency decision — lookup, admission, FIFO eviction, invalidation and
-// in-place patching — over one dense slot per resident key {key,
-// generation, subgraph, labels, prev, next}, found through a key → slot
-// map.
+// residency decision — lookup, admission, FIFO eviction and invalidation
+// — over one dense slot per resident key {key, generation, subgraph,
+// posted count, prev, next}, found through a key → slot map.
 //
 // prev/next link the resident slots into one FIFO list in admission
-// order. Admit evicts from the head and links at the tail, Remove unlinks
-// in O(1), and Patch swaps the payload without moving the slot, so an
-// entry ages from its latest admission. A removed key leaves nothing
-// behind in the list, so no sequence numbers are needed to tell a stale
-// queue entry from a live one.
+// order. Admit evicts from the head and links at the tail and Remove
+// unlinks in O(1), so an entry ages from its latest admission. A removed
+// key leaves nothing behind in the list, so no sequence numbers are
+// needed to tell a stale queue entry from a live one.
 //
-// Labels take 6 bytes per touched entity (a 4-byte EntityId and two
-// one-byte distances). Inverted, each entity has one flat vector of
-// 4-byte postings, indexed by EntityId, naming the resident keys whose
-// touched set holds it: a posting packs a 24-bit slot and that slot's
-// 8-bit generation, and is live iff its generation equals its slot's.
+// Inverted, each entity has one flat vector of 4-byte postings, indexed
+// by EntityId, naming the resident keys whose touched set holds it: a
+// posting packs a 24-bit slot and that slot's 8-bit generation, and is
+// live iff its generation equals its slot's. A slot keeps only how many
+// postings it made, which is all freeing it needs to know.
 // Freeing a slot bumps its generation and leaves its postings stale, so
 // a later key that reuses the slot is never reported through them.
 // Affected drops the stale postings it scans, and a full sweep drops them
@@ -55,23 +53,19 @@ class ShardCache {
   // pointer is valid until the next Admit or Remove.
   const Subgraph* Lookup(const Triple& key);
 
+  // Lookup without touching the hit/miss counters: the residency probe.
+  const Subgraph* Find(const Triple& key) const;
+
   // Admits `key`, which must not be resident: evicts from the FIFO head
   // while the cache is at capacity, then links `key` at the tail and
-  // posts it under each entity of labels.entities.
-  void Admit(const Triple& key, Subgraph subgraph, TouchedLabels labels);
+  // posts it under each of `touched`, the extraction's touched set
+  // (TouchedEntities; each entity once).
+  void Admit(const Triple& key, Subgraph subgraph,
+             const std::vector<EntityId>& touched);
 
-  // Forgets `key` with its subgraph and labels in O(1) (plus an amortized
-  // share of a sweep). Returns false when `key` is not resident.
+  // Forgets `key` with its subgraph in O(1) (plus an amortized share of a
+  // sweep). Returns false when `key` is not resident.
   bool Remove(const Triple& key);
-
-  // The labels of a resident key, or null, for in-place patching that
-  // keeps every vector's size. Valid until the next Admit or Remove.
-  TouchedLabels* Labels(const Triple& key);
-
-  // Swaps the subgraph of a resident key in place: the entry keeps its
-  // FIFO position, and its payload bytes are recounted. Returns false
-  // when `key` is not resident.
-  bool Patch(const Triple& key, Subgraph subgraph);
 
   // Every resident key whose touched set holds one of `entities`, each
   // once, in the order its first live posting is met. Drops the stale
@@ -83,10 +77,10 @@ class ShardCache {
   int64_t stale_postings() const { return stale_; }
   // Full sweeps run so far, by the slack bound or by a generation wrap.
   int64_t sweeps() const { return sweeps_; }
-  // Allocated bytes of the resident keys' label vectors plus every
-  // entity's posting list (capacities, not sizes). The fixed-size slot
-  // array, list headers and key map are not counted.
-  int64_t index_bytes() const { return label_bytes_ + posting_bytes_; }
+  // Allocated bytes of every entity's posting list (capacities, not
+  // sizes). The fixed-size slot array, list headers and key map are not
+  // counted.
+  int64_t index_bytes() const { return posting_bytes_; }
 
  private:
   static constexpr uint32_t kNone = ~0u;  // end of the FIFO list
@@ -97,8 +91,8 @@ class ShardCache {
     uint32_t seen = 0;  // last Affected query that reported this slot
     uint32_t prev = kNone;  // FIFO neighbours while resident
     uint32_t next = kNone;
+    uint32_t posted = 0;  // postings Admit made for the resident key
     Subgraph subgraph;
-    TouchedLabels labels;
   };
   // Slot in the low 24 bits, the slot's generation in the high 8.
   using Posting = uint32_t;
@@ -108,9 +102,8 @@ class ShardCache {
     return uint32_t{slots_[p & kSlotMask].generation} == p >> 24;
   }
   void Unlink(uint32_t s);
-  // Frees resident slot `s`: unlinks it, drops its key, payload and
-  // labels, and bumps its generation (sweeping on a wrap or past the
-  // slack).
+  // Frees resident slot `s`: unlinks it, drops its key and payload, and
+  // bumps its generation (sweeping on a wrap or past the slack).
   void Free(uint32_t s);
   // Drops every stale posting and every posting of `freed`, a slot Free
   // just freed, and restarts every slot's wrap count.
@@ -128,7 +121,6 @@ class ShardCache {
   int64_t live_ = 0;
   int64_t stale_ = 0;
   int64_t sweeps_ = 0;
-  int64_t label_bytes_ = 0;
   int64_t posting_bytes_ = 0;
 };
 

@@ -376,7 +376,7 @@ TEST(ServeDeterminismTest, LiveIngestionConvergesToOfflineOverTcp) {
 
 TEST(ServeDeterminismTest, InterleavedIngestScoringMatchesStaticOracle) {
   // Scoring interleaves *between* ingest batches over TCP, so the cache
-  // is warm at every ingest and the in-place patch path actually runs.
+  // is warm at every ingest and ingest invalidation actually runs.
   // After each chunk the live graph must equal a statically built graph
   // over the same triple multiset (the dynamic-append ordering
   // invariant), so every interleaved score must be bit-identical to the
@@ -408,11 +408,11 @@ TEST(ServeDeterminismTest, InterleavedIngestScoringMatchesStaticOracle) {
 
     const std::vector<Triple>& emerging = dataset.emerging_triples();
     std::vector<Triple> prefix = dataset.original_graph().Triples();
-    // Small chunks: each ingest touches few entities, so some warm
-    // entries are patchable (big batches change membership everywhere).
+    // Small chunks: each ingest touches few entities, so warm entries
+    // are dropped a few at a time and the rest keep serving hits.
     const size_t num_chunks = 24;
     const size_t chunk = (emerging.size() + num_chunks - 1) / num_chunks;
-    uint64_t maintained = 0;
+    uint64_t invalidated = 0;
     for (size_t begin = 0; begin < emerging.size(); begin += chunk) {
       const size_t end = std::min(emerging.size(), begin + chunk);
       IngestRequest ingest;
@@ -421,7 +421,7 @@ TEST(ServeDeterminismTest, InterleavedIngestScoringMatchesStaticOracle) {
       IngestResponse ingested;
       ASSERT_TRUE(client.Ingest(ingest, &ingested, &error)) << error;
       ASSERT_EQ(ingested.status, Status::kOk) << ingested.error;
-      maintained += ingested.patched + ingested.repaired;
+      invalidated += ingested.invalidated;
 
       prefix.insert(prefix.end(), ingest.triples.begin(),
                     ingest.triples.end());
@@ -440,13 +440,13 @@ TEST(ServeDeterminismTest, InterleavedIngestScoringMatchesStaticOracle) {
             << "chunk [" << begin << ", " << end << ") triple " << i;
       }
     }
-    // The patch path must have actually maintained warm entries (not
-    // fallen back on every single key).
-    EXPECT_GT(maintained, 0u);
+    // Ingest must have actually dropped warm entries, so the scores
+    // above were checked across invalidations.
+    EXPECT_GT(invalidated, 0u);
 
     StatsResponse stats;
     ASSERT_TRUE(client.Stats(&stats, &error)) << error;
-    EXPECT_EQ(stats.cache_patched + stats.cache_repaired, maintained);
+    EXPECT_EQ(stats.cache_invalidated, invalidated);
     EXPECT_EQ(stats.graph_triples,
               static_cast<uint64_t>(dataset.inference_graph().num_triples()));
 

@@ -1,8 +1,8 @@
 // SubgraphCache semantics: hit/miss accounting, deterministic FIFO
 // eviction under a capacity bound, byte accounting, and transparency —
 // a served subgraph is exactly what a fresh extraction would produce.
-// The serve shard's store, with removal and in-place patching, is
-// serve::ShardCache (touched_index_test).
+// The serve shard's store, with ingest invalidation through its
+// touched-entity postings, is serve::ShardCache (touched_index_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,7 +1,7 @@
 // serve::ShardCache, the serve shard's one resident store, against
 // brute-force references. The main schedule is a seeded random sequence
-// of Admit, Remove, Patch, Lookup and Affected calls, where removed and
-// evicted keys are re-admitted so slots are reused across generations;
+// of Admit, Remove, Lookup and Affected calls, where removed and evicted
+// keys are re-admitted so slots are reused across generations;
 // it runs unbounded and at a capacity that evicts. After every step the
 // resident keys, the hit/miss/eviction/entry counters and the payload
 // bytes must equal a reference that keeps its keys in a FIFO list, the
@@ -10,7 +10,7 @@
 // stale postings must stay within the sweep bound. A second schedule
 // cycles one slot through several wraps of its 8-bit generation,
 // index_bytes() is checked against a hand count, and the FIFO cases pin
-// eviction order under removal, re-admission and patching.
+// eviction order under removal and re-admission.
 #include "serve/shard_cache.h"
 
 #include <gtest/gtest.h>
@@ -33,16 +33,9 @@ struct TripleLess {
 };
 using Reference = std::map<Triple, std::set<EntityId>, TripleLess>;
 
-// Labels over `entities` with distance fields derived from the entity ids,
-// so Labels() can be checked against the reference.
-TouchedLabels LabelsFor(const std::set<EntityId>& entities) {
-  TouchedLabels labels;
-  for (const EntityId e : entities) {
-    labels.entities.push_back(e);
-    labels.dist_head.push_back(static_cast<int8_t>(e % 3));
-    labels.dist_tail.push_back(static_cast<int8_t>(e % 5));
-  }
-  return labels;
+// The touched list Admit posts: `entities` ascending, each once.
+std::vector<EntityId> TouchedList(const std::set<EntityId>& entities) {
+  return {entities.begin(), entities.end()};
 }
 
 // A payload of `nodes` nodes and nodes / 2 edges; its size identifies it.
@@ -83,16 +76,16 @@ TEST(ShardCacheTest, ReusedSlotDoesNotInheritStalePostings) {
   ShardCache cache;
   const Triple a{1, 0, 2};
   const Triple b{3, 0, 4};
-  cache.Admit(a, Payload(2), LabelsFor({1, 2, 7}));
+  cache.Admit(a, Payload(2), {1, 2, 7});
   EXPECT_TRUE(cache.Remove(a));
   EXPECT_FALSE(cache.Remove(a));
   // b takes a's freed slot; a's postings under 1, 2 and 7 are stale.
-  cache.Admit(b, Payload(2), LabelsFor({3, 4}));
+  cache.Admit(b, Payload(3), {3, 4});
   EXPECT_TRUE(cache.Affected({1, 2, 7}).empty());
   EXPECT_EQ(cache.Affected({7, 3, 4, 3}), std::vector<Triple>{b});
-  EXPECT_EQ(cache.Labels(a), nullptr);
-  ASSERT_NE(cache.Labels(b), nullptr);
-  EXPECT_EQ(cache.Labels(b)->entities, (std::vector<EntityId>{3, 4}));
+  EXPECT_EQ(cache.Find(a), nullptr);
+  ASSERT_NE(cache.Find(b), nullptr);
+  EXPECT_EQ(cache.Find(b)->nodes.size(), 3u);
   EXPECT_EQ(cache.live_postings(), 2);
   // The query above dropped a's stale postings under 1, 2 and 7.
   EXPECT_EQ(cache.stale_postings(), 0);
@@ -121,7 +114,7 @@ TEST(ShardCacheTest, GenerationWrapNeverRevivesStalePostings) {
   Reference ref;
   for (int32_t k = 0; k < kOccupants; ++k) {
     const Triple key{k, 0, k + 1};
-    cache.Admit(key, Payload(2), LabelsFor(block(k)));
+    cache.Admit(key, Payload(2), TouchedList(block(k)));
     ref.emplace(key, block(k));
     ASSERT_EQ(cache.Affected(query(block(k))),
               ReferenceAffected(ref, query(block(k))))
@@ -146,32 +139,24 @@ TEST(ShardCacheTest, GenerationWrapNeverRevivesStalePostings) {
   EXPECT_EQ(cache.sweeps(), 3);
 }
 
-// index_bytes() counts capacities: 6 label bytes per touched entity of a
-// resident key and 4 bytes per allocated posting.
+// index_bytes() counts capacities: 4 bytes per allocated posting.
 TEST(ShardCacheTest, BytesMatchHandCount) {
-  const auto labels = [](std::vector<EntityId> entities) {
-    TouchedLabels out;
-    out.dist_head = std::vector<int8_t>(entities.size(), 1);
-    out.dist_tail = std::vector<int8_t>(entities.size(), 2);
-    out.entities = std::move(entities);
-    return out;
-  };
   ShardCache cache;
   EXPECT_EQ(cache.index_bytes(), 0);
-  cache.Admit({1, 0, 2}, Payload(2), labels({1, 2, 7}));
-  EXPECT_EQ(cache.index_bytes(), 3 * 6 + 3 * 4);
+  cache.Admit({1, 0, 2}, Payload(2), {1, 2, 7});
+  EXPECT_EQ(cache.index_bytes(), 3 * 4);
   // Lists 2 and 7 grow to two postings, list 9 holds one.
   const Triple b{3, 0, 4};
-  cache.Admit(b, Payload(2), labels({2, 7, 9}));
-  EXPECT_EQ(cache.index_bytes(), 6 * 6 + 6 * 4);
-  // Removing frees the labels; the stale postings keep their room.
+  cache.Admit(b, Payload(2), {2, 7, 9});
+  EXPECT_EQ(cache.index_bytes(), 6 * 4);
+  // The stale postings keep their room.
   EXPECT_TRUE(cache.Remove({1, 0, 2}));
-  EXPECT_EQ(cache.index_bytes(), 3 * 6 + 6 * 4);
+  EXPECT_EQ(cache.index_bytes(), 6 * 4);
   // A scan drops the stale postings and keeps the capacity, which the
-  // next key's postings under 2 and 7 reuse.
+  // next key's postings under 2 and 7 reuse; list 3 is new.
   EXPECT_EQ(cache.Affected({1, 2, 7}), std::vector<Triple>{b});
-  cache.Admit({5, 0, 6}, Payload(2), labels({2, 7}));
-  EXPECT_EQ(cache.index_bytes(), 5 * 6 + 6 * 4);
+  cache.Admit({5, 0, 6}, Payload(2), {2, 3, 7});
+  EXPECT_EQ(cache.index_bytes(), 7 * 4);
   EXPECT_EQ(cache.sweeps(), 0);
   // The payload is counted apart, as cache_bytes.
   EXPECT_EQ(cache.stats().bytes, 2 * PayloadBytes(2));
@@ -182,48 +167,20 @@ TEST(ShardCacheTest, ReinsertedKeyAgesFromReinsertion) {
   // re-admission: after a is removed and re-admitted, b is the oldest.
   ShardCache cache(/*capacity=*/2);
   const Triple a{0, 0, 1}, b{1, 0, 2}, c{2, 0, 3};
-  cache.Admit(a, Payload(2), LabelsFor({0, 1}));
-  cache.Admit(b, Payload(2), LabelsFor({1, 2}));
+  cache.Admit(a, Payload(2), {0, 1});
+  cache.Admit(b, Payload(2), {1, 2});
   EXPECT_TRUE(cache.Remove(a));
-  cache.Admit(a, Payload(3), LabelsFor({0, 1}));  // a is now the newest
-  cache.Admit(c, Payload(2), LabelsFor({2, 3}));
+  cache.Admit(a, Payload(3), {0, 1});  // a is now the newest
+  cache.Admit(c, Payload(2), {2, 3});
   EXPECT_EQ(cache.stats().entries, 2);
   EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(cache.Labels(b), nullptr) << "b is the oldest live admission";
+  EXPECT_EQ(cache.Find(b), nullptr) << "b is the oldest live admission";
   const Subgraph* resident = cache.Lookup(a);
   ASSERT_NE(resident, nullptr) << "re-admitted a must survive";
   EXPECT_EQ(resident->nodes.size(), 3u);
-  EXPECT_NE(cache.Labels(c), nullptr);
+  EXPECT_NE(cache.Find(c), nullptr);
   // b's postings went with it.
   EXPECT_EQ(cache.Affected({1, 2}), (std::vector<Triple>{a, c}));
-}
-
-TEST(ShardCacheTest, PatchSwapsPayloadInPlace) {
-  ShardCache cache(/*capacity=*/2);
-  const Triple a{0, 0, 1}, b{1, 0, 2}, c{2, 0, 3};
-  EXPECT_FALSE(cache.Patch(a, Payload(1))) << "patching an absent key";
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.stats().bytes, 0);
-
-  cache.Admit(a, Payload(4), LabelsFor({0, 1}));
-  cache.Admit(b, Payload(2), LabelsFor({1, 2}));
-  const Subgraph* resident = cache.Lookup(a);
-  EXPECT_TRUE(cache.Patch(a, Payload(6)));
-  EXPECT_EQ(cache.Lookup(a), resident) << "the payload is swapped in place";
-  EXPECT_EQ(resident->nodes.size(), 6u);
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_EQ(cache.stats().bytes, PayloadBytes(6) + PayloadBytes(2))
-      << "bytes recounted on Patch";
-  EXPECT_EQ(cache.stats().hits, 2);
-  // A patch keeps the labels and postings, and does not refresh FIFO
-  // age: a is still the oldest admission.
-  EXPECT_EQ(cache.Labels(a)->entities, (std::vector<EntityId>{0, 1}));
-  cache.Admit(c, Payload(2), LabelsFor({2, 3}));
-  EXPECT_EQ(cache.Labels(a), nullptr);
-  EXPECT_NE(cache.Labels(b), nullptr);
-  EXPECT_NE(cache.Labels(c), nullptr);
-  EXPECT_EQ(cache.stats().bytes, 2 * PayloadBytes(2));
-  EXPECT_TRUE(cache.Affected({0}).empty());
 }
 
 TEST(ShardCacheTest, CapacityInvariantHoldsUnderRemoveChurn) {
@@ -235,15 +192,16 @@ TEST(ShardCacheTest, CapacityInvariantHoldsUnderRemoveChurn) {
   for (int32_t round = 0; round < 64; ++round) {
     const Triple t{round % 7, 0, (round % 7) + 1};
     if (round % 3 == 1) cache.Remove(t);
-    if (cache.Labels(t) == nullptr) {
-      cache.Admit(t, Payload(1 + round % 5), LabelsFor({t.head, t.tail}));
+    if (cache.Find(t) == nullptr) {
+      cache.Admit(t, Payload(1 + round % 5), {t.head, t.tail});
     }
     ASSERT_LE(cache.stats().entries, capacity) << "round " << round;
     int64_t bytes = 0;
     int64_t resident = 0;
     for (int32_t k = 0; k < 8; ++k) {
-      if (cache.Labels(Triple{k, 0, k + 1}) == nullptr) continue;
-      bytes += SubgraphPayloadBytes(*cache.Lookup(Triple{k, 0, k + 1}));
+      const Subgraph* found = cache.Find(Triple{k, 0, k + 1});
+      if (found == nullptr) continue;
+      bytes += SubgraphPayloadBytes(*found);
       ++resident;
     }
     ASSERT_EQ(cache.stats().entries, resident) << "round " << round;
@@ -272,13 +230,13 @@ TEST(ShardCacheTest, EvictionOrderUnderInvalidationChurn) {
         ++evictions;
       }
       reference.push_back(t);
-      cache.Admit(t, Payload(2), LabelsFor({t.head}));
+      cache.Admit(t, Payload(2), {t.head});
     }
     ASSERT_EQ(cache.stats().entries, static_cast<int64_t>(reference.size()));
     ASSERT_EQ(cache.stats().evictions, evictions) << "step " << step;
     for (EntityId k = 0; k < 16; ++k) {
       const Triple key{k, 0, 99};
-      ASSERT_EQ(cache.Labels(key) != nullptr,
+      ASSERT_EQ(cache.Find(key) != nullptr,
                 std::count(reference.begin(), reference.end(), key) == 1)
           << "step " << step << " key " << k;
     }
@@ -313,7 +271,6 @@ void RunRandomSchedule(int64_t capacity) {
   int64_t sweeps = 0;
   int64_t wrap_sweeps = 0;
   int64_t reused_adds = 0;
-  int64_t patches = 0;
   std::set<Triple, TripleLess> ever_added;
 
   const auto key_of = [](int64_t k) {
@@ -389,18 +346,7 @@ void RunRandomSchedule(int64_t capacity) {
         } else {
           ++ref.stats.misses;
         }
-      } else if (rest < 0.2) {
-        // Swap a payload in place; the key keeps its FIFO position.
-        const Triple key = resident_key_or_random();
-        const int32_t nodes = static_cast<int32_t>(rng.UniformInt(1, 9));
-        ASSERT_EQ(cache.Patch(key, Payload(nodes)), ref.Resident(key));
-        if (ref.Resident(key)) {
-          ref.stats.bytes +=
-              PayloadBytes(nodes) - PayloadBytes(ref.payload[key]);
-          ref.payload[key] = nodes;
-          ++patches;
-        }
-      } else if (rest < 0.2 + 0.8 * add_share) {
+      } else if (rest < 0.1 + 0.9 * add_share) {
         const Triple key = random_key();
         if (ref.Resident(key)) continue;
         std::set<EntityId> entities;
@@ -420,7 +366,7 @@ void RunRandomSchedule(int64_t capacity) {
         const int64_t live_before = cache.live_postings();
         const int64_t stale_before = cache.stale_postings();
         const int64_t sweeps_before = cache.sweeps();
-        cache.Admit(key, Payload(nodes), LabelsFor(entities));
+        cache.Admit(key, Payload(nodes), TouchedList(entities));
         ref.fifo.push_back(key);
         ref.touched.emplace(key, entities);
         ref.payload[key] = nodes;
@@ -450,7 +396,7 @@ void RunRandomSchedule(int64_t capacity) {
       ASSERT_EQ(got.bytes, ref.stats.bytes);
       for (int64_t k = 0; k < kKeyPool; ++k) {
         const Triple key = key_of(k);
-        ASSERT_EQ(cache.Labels(key) != nullptr, ref.Resident(key))
+        ASSERT_EQ(cache.Find(key) != nullptr, ref.Resident(key))
             << "key " << k << ", phase " << phase << " step " << step;
       }
       ASSERT_EQ(cache.live_postings(), ReferencePostings(ref.touched));
@@ -459,19 +405,10 @@ void RunRandomSchedule(int64_t capacity) {
                 cache.live_postings() + ShardCache::kSweepSlack)
           << "phase " << phase << " step " << step;
     }
-    for (const auto& [key, entities] : ref.touched) {
-      const TouchedLabels* labels = cache.Labels(key);
-      ASSERT_NE(labels, nullptr);
-      const TouchedLabels want = LabelsFor(entities);
-      EXPECT_EQ(labels->entities, want.entities);
-      EXPECT_EQ(labels->dist_head, want.dist_head);
-      EXPECT_EQ(labels->dist_tail, want.dist_tail);
-    }
   }
-  // The schedule must have reused keys (and so slots), patched, swept,
-  // and wrapped a generation, and a bounded run must have evicted.
+  // The schedule must have reused keys (and so slots), swept, and
+  // wrapped a generation, and a bounded run must have evicted.
   EXPECT_GT(reused_adds, 0);
-  EXPECT_GT(patches, 0);
   EXPECT_GT(sweeps, 0);
   EXPECT_GT(wrap_sweeps, 0);
   EXPECT_EQ(cache.sweeps(), sweeps);

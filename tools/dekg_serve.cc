@@ -226,13 +226,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.index_sweeps));
   for (int32_t s = 0; s < router.num_shards(); ++s) {
     const serve::EngineStats one = router.ShardStats(s);
-    std::printf("  shard %d: %llu hits / %llu misses, %llu patched, "
-                "%llu repaired, %llu fallback\n",
+    std::printf("  shard %d: %llu hits / %llu misses, %llu invalidated\n",
                 s, static_cast<unsigned long long>(one.cache_hits),
                 static_cast<unsigned long long>(one.cache_misses),
-                static_cast<unsigned long long>(one.cache_patched),
-                static_cast<unsigned long long>(one.cache_repaired),
-                static_cast<unsigned long long>(one.cache_fallback));
+                static_cast<unsigned long long>(one.cache_invalidated));
   }
   return 0;
 }
