@@ -212,17 +212,21 @@ int main() {
 
   std::vector<KernelPoint> kernels;
 
-  // -- Dense MatMul, the R-GCN basis-transform shape (nodes x hidden @
-  // hidden x hidden) and a larger square. Order-preserving: bitwise vs
-  // the historical kernel.
+  // -- Dense MatMul, the R-GCN basis-transform shapes (nodes x hidden @
+  // hidden x hidden, and layer 0's nodes x one-hot features @ features x
+  // hidden), a larger square, and the single-row CLRM product the serve
+  // snapshot computes once per entity at start-up. Order-preserving:
+  // bitwise vs the historical kernel.
   {
     struct Dims {
       const char* name;
       int64_t m, k, n;
     };
     const Dims dims[] = {{"matmul_dense_512x32x32", 512, 32, 32},
+                         {"matmul_dense_256x6x32", 256, 6, 32},
                          {"matmul_dense_256x64x64", 256, 64, 64},
-                         {"matmul_dense_128x128x128", 128, 128, 128}};
+                         {"matmul_dense_128x128x128", 128, 128, 128},
+                         {"matmul_dense_1x48x32", 1, 48, 32}};
     for (const Dims& d : dims) {
       Tensor a = RandomTensor({d.m, d.k}, 11);
       Tensor b = RandomTensor({d.k, d.n}, 13);

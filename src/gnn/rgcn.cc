@@ -2,9 +2,11 @@
 
 #include <string>
 
+#include "common/thread_pool.h"
 #include "gnn/message_kernels.h"
 #include "quant/qkernels.h"
 #include "tensor/lanes.h"
+#include "tensor/tuning.h"
 
 namespace dekg::gnn {
 
@@ -166,11 +168,11 @@ Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
   const int32_t num_bases = config_.num_bases;
   Tensor aggregated = Tensor::Zeros(Shape{num_nodes, dout});
   if (m > 0) {
-    // Dense per-node transforms and per-edge coefficient columns go
-    // through the tensor kernels the per-op autograd chain wraps
-    // (row-identical for identical rows); only the [m, dout]-sized
-    // message chain is fused below. Under a quantized model the basis
-    // transforms — the O(dim²) work — route through the quantized GEMM.
+    // Dense per-node transforms go through the tensor kernels the per-op
+    // autograd chain wraps (row-identical for identical rows); only the
+    // [m, dout]-sized message chain is fused below. Under a quantized
+    // model the basis transforms — the O(dim²) work — route through the
+    // quantized GEMM.
     std::vector<Tensor> transformed;
     transformed.reserve(static_cast<size_t>(num_bases));
     for (int32_t b = 0; b < num_bases; ++b) {
@@ -179,13 +181,34 @@ Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
               ? quant::QuantMatMul(h, qlayer->bases[static_cast<size_t>(b)])
               : dekg::MatMul(h, layer.bases[static_cast<size_t>(b)].value()));
     }
-    Tensor per_edge_coeff =
-        dekg::GatherRows(layer.coefficients.value(), messages.rel_ids);
+    // Per-edge coefficient columns. The chain's c_b = Gather(coeff, rel) @
+    // sel_b makes c_b[e] the n == 1 MatMul dot of coefficient row rel[e]
+    // with selector b, which depends on rel[e] alone: take that same
+    // LaneDotF32 once per relation row and basis, then gather it.
+    const Tensor& coefficients = layer.coefficients.value();
+    const int64_t num_rel_rows = coefficients.dim(0);
+    std::vector<float> coeff_table(
+        static_cast<size_t>(num_rel_rows * num_bases));
+    for (int64_t r = 0; r < num_rel_rows; ++r) {
+      for (int32_t b = 0; b < num_bases; ++b) {
+        coeff_table[static_cast<size_t>(r * num_bases + b)] =
+            lanes::LaneDotF32(coefficients.Data() + r * num_bases,
+                              basis_selectors_[static_cast<size_t>(b)].Data(),
+                              num_bases);
+      }
+    }
     std::vector<Tensor> coeff_cols;  // [m, 1] each
     coeff_cols.reserve(static_cast<size_t>(num_bases));
     for (int32_t b = 0; b < num_bases; ++b) {
-      coeff_cols.push_back(dekg::MatMul(
-          per_edge_coeff, basis_selectors_[static_cast<size_t>(b)]));
+      coeff_cols.emplace_back(Shape{m, 1});
+    }
+    for (int64_t e = 0; e < m; ++e) {
+      const int64_t rel = messages.rel_ids[static_cast<size_t>(e)];
+      DEKG_CHECK(rel >= 0 && rel < num_rel_rows) << "gather index " << rel;
+      for (int32_t b = 0; b < num_bases; ++b) {
+        coeff_cols[static_cast<size_t>(b)].Data()[e] =
+            coeff_table[static_cast<size_t>(rel * num_bases + b)];
+      }
     }
 
     Tensor gate;  // [m, 1] when edge attention is on
@@ -236,8 +259,25 @@ Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
   Tensor self = qlayer != nullptr
                     ? quant::QuantMatMul(h, qlayer->self_weight)
                     : dekg::MatMul(h, layer.self_weight.value());
-  return dekg::Relu(
-      dekg::Add(dekg::Add(self, aggregated), layer.bias.value()));
+  // Epilogue in one pass, in place over `self`: per element the
+  // expression Relu(Add(Add(self, aggregated), bias)) evaluates.
+  float* ps = self.Data();
+  const float* pagg = aggregated.Data();
+  const float* pbias = layer.bias.value().Data();
+  auto epilogue = [&](int64_t row_begin, int64_t row_end) {
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      for (int64_t j = 0; j < dout; ++j) {
+        const float v = (ps[i * dout + j] + pagg[i * dout + j]) + pbias[j];
+        ps[i * dout + j] = v > 0.0f ? v : 0.0f;
+      }
+    }
+  };
+  if (num_nodes * dout >= tune::kParallelElementwiseMin) {
+    ParallelFor(0, num_nodes, /*grain=*/0, epilogue);
+  } else {
+    epilogue(0, num_nodes);
+  }
+  return self;
 }
 
 namespace {

@@ -182,8 +182,8 @@ class RgcnEncoder : public nn::Module {
   std::vector<ag::Var> att_weight_;  // per layer: [2*din + 2*att_dim, 1]
   std::vector<ag::Var> att_bias_;    // per layer: [1]
   // Column selectors for the basis decomposition: selector b is a
-  // [num_bases, 1] one-hot picking column b of the per-edge coefficient
-  // matrix, built once here instead of per layer×basis×call.
+  // [num_bases, 1] one-hot picking column b of a coefficient row, built
+  // once here instead of per layer×basis×call.
   std::vector<Tensor> basis_selectors_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/thread_pool.h"
@@ -359,16 +360,66 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
 
 namespace {
 
-// Register-blocked row kernel of MatMul: computes
-// out[i, col_begin:col_end) for rows [row_begin, row_end).
-// Column tiles of tune::kMatMulColTile floats are accumulated in
-// registers across the whole k loop (i-k-j order per tile, so b rows are
-// still streamed), then stored once — the historical kernel re-loaded and
-// re-stored the output row on every k iteration. Per-element accumulation
-// order over k is exactly the historical loop's, so this tiling never
-// changes a result bit; only the n == 1 dot path below is on the
-// fixed-lane reduction contract.
-void MatMulRowsCols(const float* pa, const float* pb, float* po, int64_t k,
+// Four floats as one generic vector (the GCC/Clang vector extension, not
+// an ISA intrinsic). Lane-wise + and * are the scalar IEEE operations, so
+// a vector accumulator holds exactly what four scalar ones would.
+typedef float F32x4 __attribute__((vector_size(16)));
+
+inline F32x4 LoadF32x4(const float* p) {
+  F32x4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void StoreF32x4(float* p, F32x4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// out[i:i+4, j:j+8) as one register block: eight 4-float accumulators
+// stay live across the whole k loop, and each output element accumulates
+// acc += a[i, kk] * b[kk, j] in ascending kk from 0.0f — the historical
+// i-k-j kernel's expression, element for element.
+void MatMulBlock4x8(const float* pa, const float* pb, float* po, int64_t k,
+                    int64_t n, int64_t i, int64_t j) {
+  const float* a0 = pa + i * k;
+  const float* a1 = a0 + k;
+  const float* a2 = a1 + k;
+  const float* a3 = a2 + k;
+  F32x4 c00 = {}, c01 = {}, c10 = {}, c11 = {};
+  F32x4 c20 = {}, c21 = {}, c30 = {}, c31 = {};
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* b_row = pb + kk * n + j;
+    const F32x4 b0 = LoadF32x4(b_row);
+    const F32x4 b1 = LoadF32x4(b_row + 4);
+    const F32x4 x0 = {a0[kk], a0[kk], a0[kk], a0[kk]};
+    c00 += x0 * b0;
+    c01 += x0 * b1;
+    const F32x4 x1 = {a1[kk], a1[kk], a1[kk], a1[kk]};
+    c10 += x1 * b0;
+    c11 += x1 * b1;
+    const F32x4 x2 = {a2[kk], a2[kk], a2[kk], a2[kk]};
+    c20 += x2 * b0;
+    c21 += x2 * b1;
+    const F32x4 x3 = {a3[kk], a3[kk], a3[kk], a3[kk]};
+    c30 += x3 * b0;
+    c31 += x3 * b1;
+  }
+  float* o = po + i * n + j;
+  StoreF32x4(o, c00);
+  StoreF32x4(o + 4, c01);
+  StoreF32x4(o + n, c10);
+  StoreF32x4(o + n + 4, c11);
+  StoreF32x4(o + 2 * n, c20);
+  StoreF32x4(o + 2 * n + 4, c21);
+  StoreF32x4(o + 3 * n, c30);
+  StoreF32x4(o + 3 * n + 4, c31);
+}
+
+// Row-at-a-time kernel for what the 4x8 blocks leave over: computes
+// out[i, col_begin:col_end) for rows [row_begin, row_end), one column
+// tile of tune::kMatMulColTile accumulators per pass over k. The
+// single-row products ([1, k] x [k, n], per-triple scoring and the CLRM
+// rows) run here entirely, on the constant-width full tile. Same
+// per-element expression as the block.
+void MatMulTileRows(const float* pa, const float* pb, float* po, int64_t k,
                     int64_t n, int64_t row_begin, int64_t row_end,
                     int64_t col_begin, int64_t col_end) {
   constexpr int64_t kTile = tune::kMatMulColTile;
@@ -396,6 +447,29 @@ void MatMulRowsCols(const float* pa, const float* pb, float* po, int64_t k,
       for (int64_t jj = 0; jj < width; ++jj) out_row[j0 + jj] = acc[jj];
     }
   }
+}
+
+// MatMul's n > 1 kernel over out[row_begin:row_end, col_begin:col_end):
+// 4x8 register blocks over the bulk, the tile kernel for the remainder
+// columns of the blocked rows and for the remainder rows. Every output
+// element is computed exactly once with the same expression, so neither
+// the blocking nor the caller's split changes a result bit.
+void MatMulRowsCols(const float* pa, const float* pb, float* po, int64_t k,
+                    int64_t n, int64_t row_begin, int64_t row_end,
+                    int64_t col_begin, int64_t col_end) {
+  const int64_t block_rows_end = row_end - (row_end - row_begin) % 4;
+  const int64_t block_cols_end = col_end - (col_end - col_begin) % 8;
+  for (int64_t i = row_begin; i < block_rows_end; i += 4) {
+    for (int64_t j = col_begin; j < block_cols_end; j += 8) {
+      MatMulBlock4x8(pa, pb, po, k, n, i, j);
+    }
+  }
+  if (block_cols_end < col_end) {
+    MatMulTileRows(pa, pb, po, k, n, row_begin, block_rows_end,
+                   block_cols_end, col_end);
+  }
+  MatMulTileRows(pa, pb, po, k, n, block_rows_end, row_end, col_begin,
+                 col_end);
 }
 
 }  // namespace
@@ -469,7 +543,8 @@ Tensor Transpose(const Tensor& a) {
 }
 
 float SumAll(const Tensor& a) {
-  // Kahan summation keeps reductions deterministic and accurate.
+  // Plain sequential accumulation in double, element order: deterministic,
+  // and the wide accumulator keeps float sums accurate.
   double sum = 0.0;
   const float* p = a.Data();
   for (int64_t i = 0; i < a.numel(); ++i) sum += p[i];

@@ -118,9 +118,10 @@ Tensor Abs(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 
 // ----- Matrix ops -----
-// [m, k] x [k, n] -> [m, n]. Register-blocked dense kernel: each output
-// row is produced tune::kMatMulColTile columns at a time with the running
-// sums held in registers across the whole k loop (per-element k-ascending
+// [m, k] x [k, n] -> [m, n]. Register-blocked dense kernel: 4-row x
+// 8-column blocks whose running sums stay in vector registers across the
+// whole k loop, with the remainder rows and columns produced
+// tune::kMatMulColTile columns at a time (per-element k-ascending
 // accumulation, unchanged from the historical kernel). Above a flop
 // threshold the work splits deterministically across the thread pool —
 // rows for m > 1, disjoint column tiles for single-row products. The

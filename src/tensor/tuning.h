@@ -25,14 +25,14 @@ namespace dekg::tune {
 // determinism contract — see the header comment.
 inline constexpr int64_t kLanes = 8;
 
-// Column-tile width of the register-blocked MatMul kernel: each output
-// row is produced kMatMulColTile columns at a time with the running sums
-// held in registers across the whole k loop. A multiple of kLanes; 4
-// lanes ≈ half the 16 vector registers of baseline x86-64, leaving room
-// for the b-row stream. Per-element accumulation order is unchanged by
-// this tiling (it only affects *which* elements are in flight together),
-// so it is NOT part of the determinism contract — but it is compile-time
-// because the kernel's register allocation depends on it.
+// Column-tile width of MatMul's row kernel, which produces what its 4x8
+// register blocks leave over (remainder rows and columns, and every
+// single-row product) kMatMulColTile columns per pass over k. A multiple
+// of kLanes. Per-element accumulation order is unchanged by this tiling
+// (it only affects *which* elements are in flight together), so it is
+// NOT part of the determinism contract — but it is compile-time because
+// the full tile's constant trip count is what the vectorizer maps onto
+// vector registers.
 inline constexpr int64_t kMatMulColTile = 4 * kLanes;
 
 // Elements below which elementwise ops stay serial.

@@ -168,16 +168,26 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const char* what) {
 
 TEST(MatMulContractTest, TiledKernelMatchesHistoricalBitwise) {
   // Sizes straddling the column tile and lane widths, plus the serial/
-  // parallel dispatch threshold in both regimes.
+  // parallel dispatch threshold in both regimes; the R-GCN layer shapes
+  // (layer 0's one-hot features, a hidden layer) and the single-row CLRM
+  // product.
   const int64_t tile = tune::kMatMulColTile;
   struct Dims {
     int64_t m, k, n;
   };
-  const Dims dims[] = {{3, 5, 2},          {4, 16, tile - 1},
-                       {4, 16, tile},      {4, 16, tile + 1},
-                       {7, 33, 2 * tile + 3}, {64, 64, 64},
-                       {1, 64, 2 * tile + 5}};
+  std::vector<Dims> dims = {{3, 5, 2},          {4, 16, tile - 1},
+                            {4, 16, tile},      {4, 16, tile + 1},
+                            {7, 33, 2 * tile + 3}, {64, 64, 64},
+                            {1, 64, 2 * tile + 5}, {158, 6, 32},
+                            {230, 32, 32},      {1, 48, 32}};
+  // Every row remainder mod 4 and column remainder mod 8 of the 4x8
+  // register block.
+  for (int64_t m : {1, 2, 3, 5, 8, 9}) {
+    for (int64_t n : {7, 8, 9, 16, 17}) dims.push_back({m, 11, n});
+  }
   for (const Dims& d : dims) {
+    SCOPED_TRACE(testing::Message() << "[" << d.m << ", " << d.k << "] x ["
+                                    << d.k << ", " << d.n << "]");
     Tensor a = RandomTensor({d.m, d.k}, 101 + d.m + d.k);
     Tensor b = RandomTensor({d.k, d.n}, 203 + d.k + d.n);
     ExpectBitEqual(MatMul(a, b), RefMatMul(a, b), "tiled MatMul");
