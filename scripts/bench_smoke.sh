@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "$(nproc)" --target bench_train bench_gsm_batch bench_simd \
-  bench_extract bench_churn bench_quant
+  bench_extract bench_churn
 
 # Small dataset, explicit thread count: the point is the bitwise
 # serial-vs-parallel comparison, not throughput.
@@ -55,13 +55,4 @@ DEKG_BENCH_EXTRACT_MAX_N="${DEKG_BENCH_EXTRACT_MAX_N:-100000}" \
 # runs when DEKG_BENCH_CHURN_MAX_V is raised.
 DEKG_BENCH_CHURN_MAX_V="${DEKG_BENCH_CHURN_MAX_V:-100000}" \
   ./bench_churn
-
-# Quantized-serving sweep: one engine per storage precision. Hard gates
-# (exit 1): the fp32 engine bit-identical to the offline predictor, int8
-# cutting the frozen-model footprint >= 3x, every mode run-to-run
-# bit-deterministic. Accuracy deltas and throughput are reported, not
-# gated (the rank-metric epsilon gate is tests/quant_gate_test.cc).
-DEKG_BENCH_SCALE="${DEKG_BENCH_SCALE:-0.25}" \
-DEKG_BENCH_THREADS="${DEKG_BENCH_THREADS:-4}" \
-  ./bench_quant
-echo "Bench smoke passed (BENCH_train.json, BENCH_gsm_batch.json, BENCH_simd.json, BENCH_extract.json, BENCH_churn.json, BENCH_quant.json in build-release/bench/)."
+echo "Bench smoke passed (BENCH_train.json, BENCH_gsm_batch.json, BENCH_simd.json, BENCH_extract.json, BENCH_churn.json in build-release/bench/)."

@@ -16,10 +16,8 @@
 #                                     the SIMD kernel bitwise gates via
 #                                     bench_simd, extraction bitwise and
 #                                     scaling gates via bench_extract,
-#                                     snapshot publication flat in graph
-#                                     size via bench_churn, and the
-#                                     quantized-footprint gates via
-#                                     bench_quant)
+#                                     and snapshot publication flat in
+#                                     graph size via bench_churn)
 #   5. sanitizer sweeps              (TSan + ASan/UBSan on the parallel,
 #                                     checkpoint, and serving subsystems,
 #                                     plus the O0-vs-O3 kernel fingerprint

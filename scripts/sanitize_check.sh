@@ -34,8 +34,7 @@ COMMON_TESTS="thread_pool_test parallel_eval_determinism_test evaluator_test \
   serve_determinism_test shard_routing_test snapshot_versioning_test \
   cache_patch_differential_test subgraph_sparse_property_test \
   gsm_batch_test simd_kernel_contract_test \
-  quant_test quant_gate_test baselines_test neural_lp_test \
-  rgcn_layer_op_test"
+  baselines_test neural_lp_test rgcn_layer_op_test"
 # Death-test / fork-based suites: address,undefined sweep only.
 FORKY_TESTS="checkpoint_test dataset_io_fuzz_test"
 

@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "common/thread_pool.h"
-#include "quant/qkernels.h"
 
 namespace dekg::core {
 
@@ -83,20 +82,14 @@ ag::Var DekgIlpModel::ContrastiveLossForLink(const KnowledgeGraph& graph,
 
 std::vector<double> ScoreInference(
     const Clrm* clrm, const Gsm* gsm, const std::vector<Triple>& triples,
-    const std::vector<const Subgraph*>& subgraphs, const ClrmRows& rows,
-    const quant::RgcnQuantWeights* qweights, const GsmBatchOptions& options) {
+    const std::vector<const Subgraph*>& subgraphs,
+    const std::function<const Tensor&(EntityId)>& rows,
+    const GsmBatchOptions& options) {
   const size_t n = triples.size();
   std::vector<double> scores(n, 0.0);
-  // phi_sem from one row kernel per precision: the same float products and
-  // sum as Clrm::ScoreTriple when the rows are fp32.
+  // phi_sem: the same float products and sum as Clrm::ScoreTriple.
   const auto sem = [&](const Triple& t) -> float {
-    if (rows.quantized) {
-      const Tensor& rel_sem = clrm->relation_sem().value();
-      return quant::QuantDistMult(rows.quantized(t.head),
-                                  rel_sem.Data() + t.rel * rel_sem.dim(1),
-                                  rows.quantized(t.tail));
-    }
-    return clrm->ScoreEmbedded(rows.fp32(t.head), t.rel, rows.fp32(t.tail));
+    return clrm->ScoreEmbedded(rows(t.head), t.rel, rows(t.tail));
   };
   if (gsm == nullptr) {
     for (size_t i = 0; i < n; ++i) scores[i] = static_cast<double>(sem(triples[i]));
@@ -121,7 +114,7 @@ std::vector<double> ScoreInference(
                     group_rels.push_back(triples[static_cast<size_t>(i)].rel);
                   }
                   const std::vector<float> tpo =
-                      gsm->ScoreSubgraphsPacked(group_subs, group_rels, qweights);
+                      gsm->ScoreSubgraphsPacked(group_subs, group_rels);
                   for (size_t k = 0; k < idxs.size(); ++k) {
                     const size_t i = static_cast<size_t>(idxs[k]);
                     // ScoreLink's ag::Add(sem, tpo): a float add, widened
@@ -177,9 +170,9 @@ std::vector<double> DekgIlpPredictor::ScoreTriplesCached(
       }
     }
   }
-  ClrmRows rows;
-  rows.fp32 = [&](EntityId e) -> const Tensor& { return fused.at(e); };
-  return ScoreInference(clrm, gsm, triples, subs, rows, /*qweights=*/nullptr);
+  return ScoreInference(
+      clrm, gsm, triples, subs,
+      [&](EntityId e) -> const Tensor& { return fused.at(e); });
 }
 
 }  // namespace dekg::core

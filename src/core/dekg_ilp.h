@@ -17,7 +17,6 @@
 #include "eval/evaluator.h"
 #include "kg/dataset.h"
 #include "nn/module.h"
-#include "quant/quantize.h"
 
 namespace dekg::core {
 
@@ -76,30 +75,22 @@ class DekgIlpModel : public nn::Module {
   std::unique_ptr<Gsm> gsm_;
 };
 
-// The fused CLRM entity rows phi_sem reads (Eq. 3, materialized): row(e)
-// is EmbedEntity(RelationComponentTable(e)) on the scoring graph, stored
-// at fp32 or quantized. Exactly one lookup is set when the model has a
-// CLRM; neither is read without one.
-struct ClrmRows {
-  std::function<const Tensor&(EntityId)> fp32;
-  std::function<const quant::QuantRow&(EntityId)> quantized;
-};
-
 // The one inference path: phi = phi_sem + phi_tpo (Eq. 13) at test time,
 // tape-free and RNG-free (edge dropout is training-only, so a score is a
 // pure function of the triple and the graph the inputs came from).
 // `subgraphs[i]` is triple i's enclosing subgraph (unused and may be empty
-// when `gsm` is null). The subgraphs are grouped by GroupForPacking and
-// scored with Gsm::ScoreSubgraphsPacked (`qweights` selects the quantized
-// dense transforms); phi_sem comes from one DistMult row kernel —
-// Clrm::ScoreEmbedded over fp32 rows, quant::QuantDistMult over quantized
-// ones — and is added in float before widening to double. With fp32 rows
-// and no qweights every score equals DekgIlpModel::ScoreLink(graph, t,
-// training=false, ·) bit for bit, for every grouping and thread count.
+// when `gsm` is null). `rows(e)` is entity e's fused CLRM row phi_sem
+// reads: EmbedEntity(RelationComponentTable(e)) on the scoring graph
+// (Eq. 3, materialized); it is not called when `clrm` is null. The
+// subgraphs are grouped by GroupForPacking and scored with
+// Gsm::ScoreSubgraphsPacked; phi_sem comes from Clrm::ScoreEmbedded and is
+// added in float before widening to double. Every score equals
+// DekgIlpModel::ScoreLink(graph, t, training=false, ·) bit for bit, for
+// every grouping and thread count.
 std::vector<double> ScoreInference(
     const Clrm* clrm, const Gsm* gsm, const std::vector<Triple>& triples,
-    const std::vector<const Subgraph*>& subgraphs, const ClrmRows& rows,
-    const quant::RgcnQuantWeights* qweights,
+    const std::vector<const Subgraph*>& subgraphs,
+    const std::function<const Tensor&(EntityId)>& rows,
     const GsmBatchOptions& options = GsmBatchOptions());
 
 // LinkPredictor adapter for the shared evaluation harness. Scoring reads

@@ -90,11 +90,10 @@ ag::Var Gsm::ScoreSubgraph(const Subgraph& subgraph, RelationId rel,
 
 std::vector<float> Gsm::ScoreSubgraphsPacked(
     const std::vector<const Subgraph*>& subgraphs,
-    const std::vector<RelationId>& rels,
-    const quant::RgcnQuantWeights* qw) const {
+    const std::vector<RelationId>& rels) const {
   gnn::PackedSubgraphBatch batch =
       gnn::PackedSubgraphBatch::Pack(subgraphs, rels, config_.num_relations);
-  gnn::RgcnBatchOutput enc = encoder_->ForwardBatch(batch, qw);
+  gnn::RgcnBatchOutput enc = encoder_->ForwardBatch(batch);
   std::vector<int64_t> rel_rows_idx(rels.begin(), rels.end());
   Tensor rel_rows = dekg::GatherRows(relation_tpo_.value(), rel_rows_idx);
   // Row g of `features` equals the sequential ScoreSubgraph feature row

@@ -95,23 +95,9 @@ class Gsm : public nn::Module {
   // bit-identical to ScoreSubgraph(*subgraphs[i], rels[i],
   // training=false, ·).value().Data()[0] — see DESIGN.md §11 for the
   // argument. Subgraphs may have arbitrary, mixed sizes.
-  //
-  // With a non-null `qw` the encoder's dense transforms run at reduced
-  // precision (quant/qkernels.h); the r^tpo rows and scorer weight stay
-  // fp32 (they are O(R·dim + dim) — nothing to save). Quantized scores
-  // are epsilon-close to fp32, not bitwise, but remain bit-deterministic
-  // across thread counts and packings (DESIGN.md §15).
   std::vector<float> ScoreSubgraphsPacked(
       const std::vector<const Subgraph*>& subgraphs,
-      const std::vector<RelationId>& rels,
-      const quant::RgcnQuantWeights* qw = nullptr) const;
-
-  // Quantizes the encoder's frozen dense transforms for serving at
-  // `precision` (forwarded to RgcnEncoder::QuantizeFrozenWeights).
-  quant::RgcnQuantWeights QuantizeFrozenWeights(
-      quant::Precision precision) const {
-    return encoder_->QuantizeFrozenWeights(precision);
-  }
+      const std::vector<RelationId>& rels) const;
 
   // Element count of the encoder's frozen dense transforms (for the serve
   // STATS fp32 weight-bytes accounting).

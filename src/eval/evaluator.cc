@@ -1,10 +1,7 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <utility>
 
 #include "common/thread_pool.h"
 
@@ -229,72 +226,6 @@ std::string GoldenSummary(const EvalResult& result) {
   emit_group("tail_task", result.tail_task);
   emit_group("relation_task", result.relation_task);
   return out;
-}
-
-namespace {
-
-// Splits a GoldenSummary into (name, value-text) lines. Returns false on
-// any line that is not "name<TAB>value\n".
-bool ParseSummaryLines(const std::string& text,
-                       std::vector<std::pair<std::string, std::string>>* out) {
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) return false;
-    out->emplace_back(line.substr(0, tab), line.substr(tab + 1));
-  }
-  return true;
-}
-
-}  // namespace
-
-bool CompareSummaries(const std::string& a, const std::string& b, double eps,
-                      std::string* diff) {
-  std::vector<std::pair<std::string, std::string>> la;
-  std::vector<std::pair<std::string, std::string>> lb;
-  if (!ParseSummaryLines(a, &la) || !ParseSummaryLines(b, &lb)) {
-    if (diff != nullptr) *diff = "unparseable summary line";
-    return false;
-  }
-  if (la.size() != lb.size()) {
-    if (diff != nullptr) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "line count mismatch: %zu vs %zu",
-                    la.size(), lb.size());
-      *diff = buf;
-    }
-    return false;
-  }
-  for (size_t i = 0; i < la.size(); ++i) {
-    if (la[i].first != lb[i].first) {
-      if (diff != nullptr) {
-        *diff = "metric name mismatch at line " + std::to_string(i) + ": " +
-                la[i].first + " vs " + lb[i].first;
-      }
-      return false;
-    }
-    // %.17g round-trips doubles exactly, so strtod-then-compare at eps 0
-    // is equivalent to string equality while also accepting equivalent
-    // spellings of the same value.
-    const double va = std::strtod(la[i].second.c_str(), nullptr);
-    const double vb = std::strtod(lb[i].second.c_str(), nullptr);
-    const bool ok = eps == 0.0 ? va == vb : std::fabs(va - vb) <= eps;
-    if (!ok) {
-      if (diff != nullptr) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "%s: %.17g vs %.17g (eps %.17g)",
-                      la[i].first.c_str(), va, vb, eps);
-        *diff = buf;
-      }
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace dekg

@@ -133,17 +133,6 @@ double RankOf(double positive_score, const std::vector<double>& negative_scores)
 // the resume-determinism tests.
 std::string GoldenSummary(const EvalResult& result);
 
-// Compares two GoldenSummary strings metric by metric. With eps == 0
-// this is the exact gate (equivalent to string equality — %.17g
-// round-trips doubles); with eps > 0 each metric value may differ by at
-// most eps in absolute terms, which is how the quantized serving modes
-// are accuracy-gated (tests/quant_gate_test.cc, DESIGN.md §15). The two
-// summaries must have the same lines in the same order (same groups and
-// metrics) — a structural mismatch always fails. On failure, *diff (when
-// non-null) names the first offending line and the two values.
-bool CompareSummaries(const std::string& a, const std::string& b, double eps,
-                      std::string* diff = nullptr);
-
 }  // namespace dekg
 
 #endif  // DEKG_EVAL_EVALUATOR_H_

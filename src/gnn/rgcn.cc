@@ -1,10 +1,7 @@
 #include "gnn/rgcn.h"
 
-#include <string>
-
 #include "common/thread_pool.h"
 #include "gnn/message_kernels.h"
-#include "quant/qkernels.h"
 #include "tensor/lanes.h"
 #include "tensor/tuning.h"
 
@@ -154,13 +151,8 @@ RgcnOutput RgcnEncoder::Forward(const Subgraph& subgraph,
 
 Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
                                       const MessageView& messages,
-                                      const quant::RgcnQuantWeights* qw,
                                       LayerSaved* saved) const {
   const Layer& layer = layers_[l];
-  const quant::RgcnQuantWeights::Layer* qlayer =
-      (qw != nullptr && qw->precision != quant::Precision::kFp32)
-          ? &qw->layers[l]
-          : nullptr;
   const int64_t num_nodes = h.dim(0);
   const int64_t din = h.dim(1);
   const int64_t dout = config_.hidden_dim;
@@ -170,16 +162,12 @@ Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
   if (m > 0) {
     // Dense per-node transforms go through the tensor kernels the per-op
     // autograd chain wraps (row-identical for identical rows); only the
-    // [m, dout]-sized message chain is fused below. Under a quantized
-    // model the basis transforms — the O(dim²) work — route through the
-    // quantized GEMM.
+    // [m, dout]-sized message chain is fused below.
     std::vector<Tensor> transformed;
     transformed.reserve(static_cast<size_t>(num_bases));
     for (int32_t b = 0; b < num_bases; ++b) {
       transformed.push_back(
-          qlayer != nullptr
-              ? quant::QuantMatMul(h, qlayer->bases[static_cast<size_t>(b)])
-              : dekg::MatMul(h, layer.bases[static_cast<size_t>(b)].value()));
+          dekg::MatMul(h, layer.bases[static_cast<size_t>(b)].value()));
     }
     // Per-edge coefficient columns. The chain's c_b = Gather(coeff, rel) @
     // sel_b makes c_b[e] the n == 1 MatMul dot of coefficient row rel[e]
@@ -256,9 +244,7 @@ Tensor RgcnEncoder::FusedLayerForward(size_t l, const Tensor& h,
       saved->gate = std::move(gate);
     }
   }
-  Tensor self = qlayer != nullptr
-                    ? quant::QuantMatMul(h, qlayer->self_weight)
-                    : dekg::MatMul(h, layer.self_weight.value());
+  Tensor self = dekg::MatMul(h, layer.self_weight.value());
   // Epilogue in one pass, in place over `self`: per element the
   // expression Relu(Add(Add(self, aggregated), bias)) evaluates.
   float* ps = self.Data();
@@ -443,7 +429,7 @@ ag::Var RgcnEncoder::LayerOp(size_t l, const ag::Var& h,
       l, h.value(),
       MessageView{messages->src_ids, messages->dst_ids, messages->rel_ids,
                   messages->target_ids, messages->inv_indegree},
-      /*qw=*/nullptr, &saved);
+      &saved);
   std::vector<ag::Var> parents = {h};
   parents.insert(parents.end(), layer.bases.begin(), layer.bases.end());
   parents.push_back(layer.coefficients);
@@ -468,11 +454,7 @@ ag::Var RgcnEncoder::LayerOp(size_t l, const ag::Var& h,
 }
 
 RgcnBatchOutput RgcnEncoder::ForwardBatch(
-    const PackedSubgraphBatch& batch,
-    const quant::RgcnQuantWeights* qw) const {
-  if (qw != nullptr && qw->precision != quant::Precision::kFp32) {
-    DEKG_CHECK_EQ(qw->layers.size(), layers_.size());
-  }
+    const PackedSubgraphBatch& batch) const {
   const int64_t total_nodes = batch.total_nodes();
   DEKG_CHECK_GT(batch.size(), 0);
 
@@ -505,7 +487,7 @@ RgcnBatchOutput RgcnEncoder::ForwardBatch(
   Tensor h = std::move(features);
   std::vector<Tensor> layer_outputs;
   for (size_t l = 0; l < layers_.size(); ++l) {
-    h = FusedLayerForward(l, h, messages, qw, /*saved=*/nullptr);
+    h = FusedLayerForward(l, h, messages, /*saved=*/nullptr);
     if (config_.jk_concat) layer_outputs.push_back(h);
   }
 
@@ -536,31 +518,6 @@ uint64_t RgcnEncoder::FrozenDenseParamCount() const {
     total += static_cast<uint64_t>(layer.self_weight.value().numel());
   }
   return total;
-}
-
-quant::RgcnQuantWeights RgcnEncoder::QuantizeFrozenWeights(
-    quant::Precision precision) const {
-  DEKG_CHECK(precision != quant::Precision::kFp32)
-      << "QuantizeFrozenWeights: fp32 serving uses the parameters directly";
-  quant::RgcnQuantWeights qw;
-  qw.precision = precision;
-  qw.layers.reserve(layers_.size());
-  std::string error;
-  for (const Layer& layer : layers_) {
-    quant::RgcnQuantWeights::Layer ql;
-    ql.bases.reserve(layer.bases.size());
-    for (const ag::Var& basis : layer.bases) {
-      quant::QuantMatrix qm;
-      DEKG_CHECK(quant::QuantizeMatrix(basis.value(), precision, &qm, &error))
-          << "quantizing basis weight: " << error;
-      ql.bases.push_back(std::move(qm));
-    }
-    DEKG_CHECK(quant::QuantizeMatrix(layer.self_weight.value(), precision,
-                                     &ql.self_weight, &error))
-        << "quantizing self weight: " << error;
-    qw.layers.push_back(std::move(ql));
-  }
-  return qw;
 }
 
 }  // namespace dekg::gnn

@@ -16,7 +16,6 @@
 #include "graph/subgraph.h"
 #include "nn/layers.h"
 #include "nn/module.h"
-#include "quant/quantize.h"
 
 namespace dekg::gnn {
 
@@ -103,29 +102,11 @@ class RgcnEncoder : public nn::Module {
   // every kernel on the hot path is row-independent or accumulates
   // strictly in index order, and a packed graph's rows/messages preserve
   // the sequential order (DESIGN.md §11).
-  // When `qw` is non-null (and not fp32), the per-layer dense transforms
-  // (basis matrices and the self/root weight — the O(dim²) work) run
-  // through the quantized kernels of quant/qkernels.h instead of
-  // dekg::MatMul on the fp32 parameters; everything O(dim) or smaller
-  // (coefficients, biases, attention) stays fp32. Quantized results are
-  // epsilon-close to fp32, not bitwise (DESIGN.md §15), but are
-  // themselves bit-deterministic across thread counts and batch
-  // compositions: the dense transforms are row-independent and the int8
-  // accumulation is exact integer arithmetic.
-  RgcnBatchOutput ForwardBatch(const PackedSubgraphBatch& batch,
-                               const quant::RgcnQuantWeights* qw =
-                                   nullptr) const;
-
-  // Quantizes this encoder's frozen dense transforms (per layer: bases +
-  // self weight) at the given precision. DEKG_CHECKs on kFp32 (the fp32
-  // path never builds quantized weights) and on non-finite parameters —
-  // serving refuses to start on a corrupt model rather than saturate.
-  quant::RgcnQuantWeights QuantizeFrozenWeights(
-      quant::Precision precision) const;
+  RgcnBatchOutput ForwardBatch(const PackedSubgraphBatch& batch) const;
 
   // Element count of the frozen dense transforms (bases + self weights
-  // across layers) — the tensors QuantizeFrozenWeights covers. The serve
-  // STATS fp32 weight-bytes accounting is this times sizeof(float).
+  // across layers). The serve STATS weight-bytes accounting is this
+  // times sizeof(float).
   uint64_t FrozenDenseParamCount() const;
 
   // Dimension of the initial one-hot double-radius node features.
@@ -160,12 +141,10 @@ class RgcnEncoder : public nn::Module {
     Tensor gate;                      // [m, 1] under edge attention
   };
 
-  // The one layer forward (LayerOp and ForwardBatch). When `qw` is set
-  // and not fp32, the dense transforms run through the quantized GEMM.
-  // A non-null `saved` receives the tensors the backward needs.
+  // The one layer forward (LayerOp and ForwardBatch). A non-null `saved`
+  // receives the tensors the backward needs.
   Tensor FusedLayerForward(size_t l, const Tensor& h,
                            const MessageView& messages,
-                           const quant::RgcnQuantWeights* qw,
                            LayerSaved* saved) const;
 
   RgcnConfig config_;

@@ -249,7 +249,6 @@ StatsResponse MicroBatcher::BuildStats() {
   stats.embedding_refreshes = engine.embedding_refreshes;
   stats.epoch = router_->epoch();
   stats.uptime_s = uptime_.ElapsedSeconds();
-  stats.precision = engine.precision;
   stats.frozen_row_bytes = engine.frozen_row_bytes;
   stats.frozen_weight_bytes = engine.frozen_weight_bytes;
   stats.shards.reserve(static_cast<size_t>(router_->num_shards()));

@@ -7,37 +7,15 @@
 
 namespace dekg::serve {
 
-namespace {
-
-// Quantizes the model's R-GCN dense transforms once per engine; null for
-// fp32 (the fp32 path reads the parameters directly) and for GSM-less
-// models.
-std::unique_ptr<quant::RgcnQuantWeights> BuildQuantWeights(
-    core::DekgIlpModel* model, quant::Precision precision) {
-  if (precision == quant::Precision::kFp32 || model->gsm() == nullptr) {
-    return nullptr;
-  }
-  return std::make_unique<quant::RgcnQuantWeights>(
-      model->gsm()->QuantizeFrozenWeights(precision));
-}
-
-}  // namespace
-
 InferenceEngine::InferenceEngine(core::DekgIlpModel* model,
                                  SnapshotWriter* writer,
                                  const EngineConfig& config)
     : model_(model),
       config_(config),
       writer_(writer),
-      qweights_(BuildQuantWeights(model, config.precision)),
       caught_up_epoch_(writer->epoch()),
       caught_up_edges_(writer->live().num_triples()),
-      cache_(config.cache_capacity) {
-  // The engine reads the shared writer's rows; a precision mismatch
-  // would score fp32 rows through quantized kernels (or vice versa).
-  DEKG_CHECK(writer->precision() == config_.precision)
-      << "engine precision must match the shared SnapshotWriter's";
-}
+      cache_(config.cache_capacity) {}
 
 std::vector<double> InferenceEngine::ScoreBatch(
     const std::vector<ScoreItem>& items) {
@@ -132,19 +110,12 @@ std::vector<double> InferenceEngine::ScoreBatchAgainstSnapshot(
   }
 
   // Phase 3 (parallel): the one inference path, over the snapshot's rows.
-  core::ClrmRows rows;
-  if (snap.precision == quant::Precision::kFp32) {
-    rows.fp32 = [&](EntityId e) -> const Tensor& {
-      return *snap.entity_emb[static_cast<size_t>(e)];
-    };
-  } else {
-    rows.quantized = [&](EntityId e) -> const quant::QuantRow& {
-      return *snap.entity_emb_q[static_cast<size_t>(e)];
-    };
-  }
-  std::vector<double> scores =
-      core::ScoreInference(model_->clrm(), gsm, triples, subs, rows,
-                           qweights_.get(), config_.gsm_batch);
+  std::vector<double> scores = core::ScoreInference(
+      model_->clrm(), gsm, triples, subs,
+      [&](EntityId e) -> const Tensor& {
+        return *snap.entity_emb[static_cast<size_t>(e)];
+      },
+      config_.gsm_batch);
 
   // Phase 4 (serial, first-miss order): admit the misses. Admission after
   // scoring means a capacity-bounded cache can never evict a subgraph
@@ -210,11 +181,8 @@ EngineStats InferenceEngine::Stats() const {
   stats.memo_hits = memo_hits_;
   stats.memo_misses = memo_misses_;
   stats.memo_entries = static_cast<uint64_t>(memo_.size());
-  stats.precision = static_cast<uint8_t>(config_.precision);
   stats.frozen_row_bytes = writer_->FrozenRowBytes();
-  if (qweights_ != nullptr) {
-    stats.frozen_weight_bytes = qweights_->PayloadBytes();
-  } else if (model_->gsm() != nullptr) {
+  if (model_->gsm() != nullptr) {
     stats.frozen_weight_bytes =
         model_->gsm()->FrozenDenseParamCount() * sizeof(float);
   }

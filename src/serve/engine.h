@@ -29,7 +29,7 @@
 //
 // Determinism contract: a score depends only on (triple, snapshot graph)
 // — never on micro-batch composition, cache state, shard assignment, or
-// thread count. ScoreItem::seed only keys the score memo. At fp32 a score
+// thread count. ScoreItem::seed only keys the score memo. A score
 // equals DekgIlpPredictor::ScoreTriples on the statically built
 // equivalent graph bit for bit: both run core::ScoreInference, the
 // snapshot rows are the predictor's fused rows, and cached and fresh
@@ -70,15 +70,6 @@ struct EngineConfig {
   // of the request history). 0 disables the memo — benches and tests
   // that measure the subgraph-cache path itself set 0.
   int64_t score_memo_capacity = 1 << 16;
-  // Storage precision of the frozen serving model (DESIGN.md §15). fp32
-  // is the exact mode — bit-identical to offline Evaluate, the
-  // repository determinism contract. fp16/int8 quantize the materialized
-  // CLRM fusion rows and the R-GCN dense transforms at engine startup
-  // (the fp32 copies are dropped — that is the footprint reduction) and
-  // score through quant/qkernels.h. Quantized scores are epsilon-gated
-  // against fp32 (tests/quant_gate_test.cc) but remain bit-deterministic
-  // across thread counts, batch compositions, and shard assignments.
-  quant::Precision precision = quant::Precision::kFp32;
 };
 
 // One unit of scoring work: the triple plus its derived item seed
@@ -107,11 +98,8 @@ struct EngineStats {
   uint64_t memo_hits = 0;            // scores replayed from the memo
   uint64_t memo_misses = 0;          // scores that ran the full pipeline
   uint64_t memo_entries = 0;         // resident memoized scores
-  // Frozen-model accounting (protocol v4): storage precision of the
-  // frozen model (quant::Precision numeric value) and the byte footprint
-  // of the materialized fusion rows / R-GCN dense transforms at that
-  // precision.
-  uint8_t precision = 0;
+  // Frozen-model accounting (protocol v4): fp32 bytes of the
+  // materialized fusion rows and of the R-GCN dense transforms.
   uint64_t frozen_row_bytes = 0;
   uint64_t frozen_weight_bytes = 0;
 };
@@ -168,12 +156,6 @@ class InferenceEngine {
   core::DekgIlpModel* model_;
   EngineConfig config_;
   SnapshotWriter* writer_;
-
-  // Quantized R-GCN dense transforms, built once at construction when
-  // config_.precision != fp32 and the model has a GSM (null otherwise).
-  // Each engine owns its copy — weights are per-model, not per-shard
-  // state, and the duplication is small next to the fusion rows.
-  std::unique_ptr<quant::RgcnQuantWeights> qweights_;
 
   // The snapshot epoch (and that snapshot's edge count) the cache state
   // is consistent with: every resident subgraph equals a fresh

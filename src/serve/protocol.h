@@ -162,12 +162,10 @@ struct StatsResponse {
   uint64_t embedding_refreshes = 0;
   uint64_t epoch = 0;  // current snapshot epoch (v3)
   double uptime_s = 0.0;
-  // Frozen-model accounting (v4): storage precision of the frozen model
-  // (quant::Precision numeric value — 0 fp32, 1 fp16, 2 int8) and the
-  // byte footprint of the materialized CLRM fusion rows / R-GCN dense
-  // transforms at that precision. Writer-global (identical across
-  // shards), like the graph counters.
-  uint8_t precision = 0;
+  // Frozen-model accounting (v4): fp32 bytes of the materialized CLRM
+  // fusion rows and of the R-GCN dense transforms. Writer-global
+  // (identical across shards), like the graph counters.
+  uint8_t precision = 0;  // always 0; removed in v5
   uint64_t frozen_row_bytes = 0;
   uint64_t frozen_weight_bytes = 0;
   std::vector<ShardStatsBlock> shards;  // one per shard engine (v3)

@@ -8,7 +8,7 @@ Router::Router(core::DekgIlpModel* model, const KnowledgeGraph& base,
                const RouterConfig& config)
     : config_(config),
       model_(model),
-      writer_(model, base, config.engine.live_graph, config.engine.precision),
+      writer_(model, base, config.engine.live_graph),
       shard_map_(config.num_shards) {
   DEKG_CHECK_GE(config_.num_shards, 1);
   shards_.reserve(static_cast<size_t>(config_.num_shards));
@@ -93,9 +93,8 @@ EngineStats Router::Stats() const {
     total.memo_misses += one.memo_misses;
     total.memo_entries += one.memo_entries;
     // graph_* / ingested / refreshes and the frozen-model fields
-    // (precision, frozen_row_bytes, frozen_weight_bytes) are
-    // writer-global: every shard reports the same values, so shard 0's
-    // stand.
+    // (frozen_row_bytes, frozen_weight_bytes) are writer-global: every
+    // shard reports the same values, so shard 0's stand.
   }
   return total;
 }

@@ -6,76 +6,34 @@
 
 namespace dekg::serve {
 
-namespace {
-
-uint64_t RowBytes(const Tensor& row) {
-  return static_cast<uint64_t>(row.numel()) * sizeof(float);
-}
-uint64_t RowBytes(const quant::QuantRow& row) { return row.PayloadBytes(); }
-
-// The next state of a row table: grown to `new_n` rows (new ids start as
-// the table's fill row) with each touched row rematerialized — one new
-// row version each.
-template <typename Row, typename Make>
-void Refresh(RowTable<Row>* rows, size_t new_n,
-             const std::vector<EntityId>& touched, const Make& make) {
-  std::vector<typename RowTable<Row>::Update> updates;
-  updates.reserve(touched.size());
-  for (EntityId e : touched) updates.emplace_back(static_cast<size_t>(e), make(e));
-  rows->Assign(new_n, std::move(updates));
-}
-
-}  // namespace
-
 Tensor SnapshotWriter::MakeRow(const core::RelationTable& table) const {
   return model_->clrm()->EmbedEntity(table).value();
 }
 
-quant::QuantRow SnapshotWriter::MakeRowQ(
-    const core::RelationTable& table) const {
-  quant::QuantRow q;
-  std::string error;
-  DEKG_CHECK(quant::QuantizeRow(MakeRow(table), precision_, &q, &error))
-      << "quantizing fusion row: " << error;
-  return q;
-}
-
-template <typename Row, typename Make>
-RowTable<Row> SnapshotWriter::InitialRows(bool wanted, const Make& make) const {
-  if (model_->clrm() == nullptr || !wanted) return RowTable<Row>();
+RowTable<Tensor> SnapshotWriter::InitialRows() const {
+  if (model_->clrm() == nullptr) return RowTable<Tensor>();
   // Rows are independent; each lands in its own pre-sized slot, so the
   // table is bit-identical at any thread count. Brand-new ids (including
   // any gap below the highest ingested id) start from the all-zero
   // table; one shared zero row suffices — rows are replaced wholesale,
   // never mutated in place.
   const KnowledgeGraph& g = live_.graph();
-  std::vector<Row> rows(static_cast<size_t>(g.num_entities()));
+  std::vector<Tensor> rows(static_cast<size_t>(g.num_entities()));
   ParallelFor(0, g.num_entities(), /*grain=*/0, [&](int64_t begin, int64_t end) {
     for (int64_t e = begin; e < end; ++e) {
       rows[static_cast<size_t>(e)] =
-          make(g.RelationComponentTable(static_cast<EntityId>(e)));
+          MakeRow(g.RelationComponentTable(static_cast<EntityId>(e)));
     }
   });
-  return RowTable<Row>(
-      make(core::RelationTable(static_cast<size_t>(g.num_relations()), 0)),
+  return RowTable<Tensor>(
+      MakeRow(core::RelationTable(static_cast<size_t>(g.num_relations()), 0)),
       std::move(rows));
 }
 
 SnapshotWriter::SnapshotWriter(core::DekgIlpModel* model,
                                const KnowledgeGraph& base,
-                               const LiveGraphConfig& config,
-                               quant::Precision precision)
-    : model_(model),
-      precision_(precision),
-      live_(base, config),
-      // Quantized modes quantize each row as it is materialized and never
-      // keep the fp32 copy.
-      rows_(InitialRows<Tensor>(
-          precision == quant::Precision::kFp32,
-          [&](const core::RelationTable& t) { return MakeRow(t); })),
-      qrows_(InitialRows<quant::QuantRow>(
-          precision != quant::Precision::kFp32,
-          [&](const core::RelationTable& t) { return MakeRowQ(t); })) {
+                               const LiveGraphConfig& config)
+    : model_(model), live_(base, config), rows_(InitialRows()) {
   Publish(0);
 }
 
@@ -85,17 +43,16 @@ Status SnapshotWriter::Ingest(const std::vector<Triple>& triples,
   if (status != Status::kOk) return status;
 
   if (model_->clrm() != nullptr) {
+    // Grow the table to the new entity count (new ids start as the fill
+    // row) and rematerialize each touched row — one new version each.
     const KnowledgeGraph& g = live_.graph();
-    const size_t new_n = static_cast<size_t>(g.num_entities());
-    if (precision_ == quant::Precision::kFp32) {
-      Refresh(&rows_, new_n, report->touched_entities, [&](EntityId e) {
-        return MakeRow(g.RelationComponentTable(e));
-      });
-    } else {
-      Refresh(&qrows_, new_n, report->touched_entities, [&](EntityId e) {
-        return MakeRowQ(g.RelationComponentTable(e));
-      });
+    std::vector<RowTable<Tensor>::Update> updates;
+    updates.reserve(report->touched_entities.size());
+    for (EntityId e : report->touched_entities) {
+      updates.emplace_back(static_cast<size_t>(e),
+                           MakeRow(g.RelationComponentTable(e)));
     }
+    rows_.Assign(static_cast<size_t>(g.num_entities()), std::move(updates));
     refreshes_ += report->touched_entities.size();
   }
   Publish(epoch_.load(std::memory_order_relaxed) + 1);
@@ -103,9 +60,9 @@ Status SnapshotWriter::Ingest(const std::vector<Triple>& triples,
 }
 
 uint64_t SnapshotWriter::FrozenRowBytes() const {
-  if (rows_.fill() != nullptr) return rows_.size() * RowBytes(*rows_.fill());
-  if (qrows_.fill() != nullptr) return qrows_.size() * RowBytes(*qrows_.fill());
-  return 0;
+  if (rows_.fill() == nullptr) return 0;
+  return rows_.size() * static_cast<uint64_t>(rows_.fill()->numel()) *
+         sizeof(float);
 }
 
 void SnapshotWriter::Publish(uint64_t epoch) {
@@ -113,9 +70,7 @@ void SnapshotWriter::Publish(uint64_t epoch) {
   // share every untouched row with the last snapshot.
   auto snapshot = std::make_shared<GraphSnapshot>(live_.graph());
   snapshot->epoch = epoch;
-  snapshot->precision = precision_;
   snapshot->entity_emb = rows_.Publish();
-  snapshot->entity_emb_q = qrows_.Publish();
   epoch_.store(snapshot->epoch, std::memory_order_release);
   std::shared_ptr<const GraphSnapshot> previous;
   {

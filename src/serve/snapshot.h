@@ -50,7 +50,6 @@
 
 #include "core/dekg_ilp.h"
 #include "kg/knowledge_graph.h"
-#include "quant/quantize.h"
 #include "serve/live_graph.h"
 #include "serve/protocol.h"
 #include "serve/row_table.h"
@@ -64,32 +63,20 @@ struct GraphSnapshot {
 
   uint64_t epoch = 0;
   KnowledgeGraph graph;
-  // Storage precision of the fusion rows below: exactly one of
-  // entity_emb (fp32) / entity_emb_q (fp16 or int8) is populated.
-  quant::Precision precision = quant::Precision::kFp32;
   // Materialized CLRM fusion rows, [1, dim] each; *entity_emb[e] always
   // equals EmbedEntity(RelationComponentTable(e)) for `graph`. Rows are
   // shared with other snapshots when unchanged. Empty when CLRM is off.
   RowTable<Tensor>::Version entity_emb;
-  // Quantized fusion rows (fp16/int8 precision): row e is
-  // QuantizeRow(EmbedEntity(RelationComponentTable(e))). The fp32 rows
-  // are NOT retained alongside — dropping them is the entire footprint
-  // win (DESIGN.md §15).
-  RowTable<quant::QuantRow>::Version entity_emb_q;
 };
 
 class SnapshotWriter {
  public:
   // Copies the base graph into the writer's own store, materializes the
   // CLRM row table (parallelized over entities, bit-identical at any
-  // thread count), and publishes the epoch-0 snapshot. `model` must outlive the writer and
-  // is treated as frozen.
-  // `precision` selects the storage of the materialized rows: fp32 keeps
-  // plain tensors (the exact mode), fp16/int8 quantizes each row as it
-  // is materialized and never retains the fp32 copy.
+  // thread count), and publishes the epoch-0 snapshot. `model` must
+  // outlive the writer and is treated as frozen.
   SnapshotWriter(core::DekgIlpModel* model, const KnowledgeGraph& base,
-                 const LiveGraphConfig& config,
-                 quant::Precision precision = quant::Precision::kFp32);
+                 const LiveGraphConfig& config);
 
   // The most recently published snapshot. Safe from any thread; never
   // waits for ingest work (the lock covers a pointer copy).
@@ -109,18 +96,13 @@ class SnapshotWriter {
 
   // Writer-side views (serialize externally against Ingest).
   const KnowledgeGraph& live() const { return live_.graph(); }
-  // fp32 mode only — quantized writers never materialize fp32 rows.
   const Tensor& Row(EntityId e) const {
-    DEKG_CHECK(precision_ == quant::Precision::kFp32)
-        << "Row(): quantized writers store QuantRows (see Current())";
     return *rows_[static_cast<size_t>(e)];
   }
 
-  quant::Precision precision() const { return precision_; }
-
-  // Total bytes of the materialized fusion-row payload at the current
-  // precision (0 when CLRM is off) — the serve STATS frozen-model
-  // accounting. Every row has the zero row's size.
+  // Total bytes of the materialized fusion-row payload (0 when CLRM is
+  // off) — the serve STATS frozen-model accounting. Every row has the
+  // zero row's size.
   uint64_t FrozenRowBytes() const;
 
   uint64_t ingested_triples() const { return live_.ingested_triples(); }
@@ -129,23 +111,16 @@ class SnapshotWriter {
  private:
   void Publish(uint64_t epoch);
 
-  // Materializes (and, under a quantized precision, quantizes) the
-  // fusion row of a relation-component table.
+  // Materializes the fusion row of a relation-component table.
   Tensor MakeRow(const core::RelationTable& table) const;
-  quant::QuantRow MakeRowQ(const core::RelationTable& table) const;
   // The row table at construction: every entity's row, with the
   // all-zero table's row as the fill for entities still to come. Empty
-  // when CLRM is off or the table is not `wanted` at this precision.
-  template <typename Row, typename Make>
-  RowTable<Row> InitialRows(bool wanted, const Make& make) const;
+  // when CLRM is off.
+  RowTable<Tensor> InitialRows() const;
 
   core::DekgIlpModel* model_;
-  quant::Precision precision_;
   LiveGraph live_;
-  // Exactly one populated, by precision_ (fp32 rows are dropped entirely
-  // in quantized modes — that is the footprint reduction).
   RowTable<Tensor> rows_;
-  RowTable<quant::QuantRow> qrows_;
   uint64_t refreshes_ = 0;
   std::atomic<uint64_t> epoch_{0};
   mutable std::mutex published_mutex_;  // guards published_ only

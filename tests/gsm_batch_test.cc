@@ -405,8 +405,7 @@ TEST(InferencePathTest, JkConcatGsmMatchesTapedScoresAtEveryGroupCap) {
     fused[static_cast<size_t>(e)] =
         clrm.EmbedEntity(graph.RelationComponentTable(e)).value();
   }
-  ClrmRows rows;
-  rows.fp32 = [&](EntityId e) -> const Tensor& {
+  const auto rows = [&](EntityId e) -> const Tensor& {
     return fused[static_cast<size_t>(e)];
   };
 
@@ -430,7 +429,7 @@ TEST(InferencePathTest, JkConcatGsmMatchesTapedScoresAtEveryGroupCap) {
       options.max_batch = cap;
       ExpectBitwiseEqual(
           ScoreInference(&clrm, &gsm, triples, Pointers(subs), rows,
-                         /*qweights=*/nullptr, options),
+                         options),
           reference,
           "threads " + std::to_string(threads) + " cap " + std::to_string(cap));
     }

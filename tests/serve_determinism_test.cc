@@ -1,10 +1,11 @@
 // Acceptance criterion of the serving subsystem (DESIGN.md §9): the
 // server's scores and ranks are bit-identical to offline Evaluate at any
-// thread count and any micro-batch size. Covered at three levels — engine
-// vs offline predictor, micro-batch composition invariance, and the full
-// in-process TCP stack (server + client) — plus the
-// EvalConfig::subgraph_cache read-only handle the serve layer shares with
-// the offline evaluator.
+// thread count and any micro-batch size. Covered at four levels — engine
+// vs offline predictor, the full Evaluate protocol through a one-shard
+// router, micro-batch composition invariance, and the full in-process TCP
+// stack (server + client) — plus the STATS frozen-model accounting and
+// the EvalConfig::subgraph_cache read-only handle the serve layer shares
+// with the offline evaluator.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -106,6 +107,95 @@ TEST(ServeDeterminismTest, EngineMatchesOfflinePredictorAtAnyThreadCount) {
     }
     EXPECT_EQ(engine.Stats().cache_hits, triples.size());
   }
+}
+
+// Adapts a one-shard Router to the evaluator's LinkPredictor interface.
+// A score depends only on (triple, graph), so the adapter is
+// score-for-score bit-identical to DekgIlpPredictor and Evaluate() sees
+// identical ranks. Scoring stays serial (SupportsConcurrentScoring
+// false): the router contract is one caller at a time.
+class EnginePredictor : public LinkPredictor {
+ public:
+  explicit EnginePredictor(Router* engine) : engine_(engine) {}
+
+  std::string Name() const override { return "serve-engine"; }
+
+  std::vector<double> ScoreTriples(
+      const KnowledgeGraph& /*inference_graph*/,
+      const std::vector<Triple>& triples) override {
+    return engine_->ScoreBatch(ItemsFor(triples));
+  }
+
+  int64_t ParameterCount() const override { return 0; }
+
+ private:
+  Router* engine_;
+};
+
+TEST(ServeDeterminismTest, EngineEvaluatesBitwiseIdenticalToOffline) {
+  DekgDataset dataset = SyntheticDataset();
+  core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
+                           /*seed=*/3);
+  EvalConfig eval_config;
+  eval_config.num_entity_negatives = 6;
+  eval_config.max_links = 8;
+  eval_config.collect_ranks = true;
+  eval_config.num_threads = 1;
+
+  core::DekgIlpPredictor predictor(&model);
+  const EvalResult offline = Evaluate(&predictor, dataset, eval_config);
+
+  // Memo off: the gate measures the scoring pipeline itself, not replay.
+  EngineConfig config;
+  config.score_memo_capacity = 0;
+  Router engine(&model, dataset.inference_graph(), OneShard(config));
+  EnginePredictor adapter(&engine);
+  const EvalResult online = Evaluate(&adapter, dataset, eval_config);
+
+  EXPECT_EQ(GoldenSummary(online), GoldenSummary(offline));
+  // Rank-for-rank identity, not just aggregate identity.
+  ASSERT_EQ(online.ranks.size(), offline.ranks.size());
+  for (size_t i = 0; i < offline.ranks.size(); ++i) {
+    EXPECT_EQ(online.ranks[i], offline.ranks[i]) << "task " << i;
+  }
+}
+
+TEST(ServeDeterminismTest, StatsAccountTheFrozenModelInFp32Bytes) {
+  DekgDataset dataset = SyntheticDataset();
+  const core::DekgIlpConfig model_config =
+      SmallModelConfig(dataset.num_relations());
+  core::DekgIlpModel model(model_config, /*seed=*/3);
+  // One fp32 fusion row of `dim` floats per entity; the dense transforms
+  // are the encoder's bases and self weights.
+  const auto row_bytes = [&](const KnowledgeGraph& graph) {
+    return static_cast<uint64_t>(graph.num_entities()) *
+           static_cast<uint64_t>(model_config.dim) * sizeof(float);
+  };
+  const uint64_t weight_bytes =
+      model.gsm()->FrozenDenseParamCount() * sizeof(float);
+
+  RouterConfig router_config;
+  router_config.num_shards = 3;
+  Router router(&model, dataset.original_graph(), router_config);
+  MicroBatcher batcher(&router, BatcherConfig{});
+  StatsResponse stats = batcher.SubmitStats().get();
+  EXPECT_EQ(stats.precision, 0u);
+  EXPECT_EQ(stats.frozen_row_bytes, row_bytes(dataset.original_graph()));
+  EXPECT_EQ(stats.frozen_weight_bytes, weight_bytes);
+
+  // Ingest grows the row table to the new entity count; the transforms
+  // are frozen.
+  IngestRequest ingest;
+  ingest.triples = dataset.emerging_triples();
+  const IngestResponse ingested = batcher.SubmitIngest(std::move(ingest)).get();
+  ASSERT_EQ(ingested.status, Status::kOk) << ingested.error;
+  stats = batcher.SubmitStats().get();
+  EXPECT_EQ(stats.graph_entities,
+            static_cast<uint64_t>(dataset.inference_graph().num_entities()));
+  EXPECT_EQ(stats.precision, 0u);
+  EXPECT_EQ(stats.frozen_row_bytes, row_bytes(dataset.inference_graph()));
+  EXPECT_EQ(stats.frozen_weight_bytes, weight_bytes);
+  batcher.Drain();
 }
 
 TEST(ServeDeterminismTest, ScoreMemoReplaysBitwiseAndFlushesOnEpochAdvance) {

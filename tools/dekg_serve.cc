@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
         " [--port-file PATH]\n"
         "                  [--threads T] [--shards N] [--batch N] [--cache N]"
         " [--max-entities N]\n"
-        "                  [--no-emerging] [--print-golden N]\n"
-        "                  [--precision fp32|fp16|int8]\n");
+        "                  [--no-emerging] [--print-golden N]\n");
     return 2;
   }
   const std::string dir = argv[1];
@@ -146,15 +145,6 @@ int main(int argc, char** argv) {
   engine_config.cache_capacity = Int32Flag(argc, argv, "--cache", 4096);
   engine_config.live_graph.max_entities =
       Int32Flag(argc, argv, "--max-entities", 1 << 20);
-  // --precision fp16/int8 serves the frozen model quantized (DESIGN.md
-  // §15): smaller footprint, epsilon-accurate scores. fp32 (default)
-  // keeps the bit-exact determinism contract.
-  const char* precision_flag = FlagValue(argc, argv, "--precision", "fp32");
-  if (!quant::ParsePrecision(precision_flag, &engine_config.precision)) {
-    std::fprintf(stderr, "--precision must be fp32, fp16, or int8 (got %s)\n",
-                 precision_flag);
-    return 2;
-  }
   serve::Router router(&model, base, router_config);
 
   serve::BatcherConfig batcher_config;
@@ -190,12 +180,11 @@ int main(int argc, char** argv) {
   });
 
   std::printf(
-      "serving %s on %s:%u (%d shard%s, batch %lld, cache %lld, %s)\n",
+      "serving %s on %s:%u (%d shard%s, batch %lld, cache %lld)\n",
       dir.c_str(), server_config.host.c_str(), server.port(),
       router_config.num_shards, router_config.num_shards == 1 ? "" : "s",
       static_cast<long long>(batcher_config.max_batch_triples),
-      static_cast<long long>(engine_config.cache_capacity),
-      quant::PrecisionName(engine_config.precision));
+      static_cast<long long>(engine_config.cache_capacity));
   std::fflush(stdout);
   const char* port_file = FlagValue(argc, argv, "--port-file", nullptr);
   if (port_file != nullptr) {

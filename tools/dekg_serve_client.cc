@@ -31,7 +31,6 @@
 
 #include "common/string_util.h"
 #include "kg/dataset_io.h"
-#include "quant/quantize.h"
 #include "serve/client.h"
 
 using namespace dekg;
@@ -124,8 +123,6 @@ int IngestEmerging(serve::Client* client, int argc, char** argv) {
   const std::vector<Triple>& emerging = dataset.emerging_triples();
   uint64_t accepted = 0;
   uint64_t invalidated = 0;
-  uint64_t patched = 0;
-  uint64_t repaired = 0;
   for (size_t begin = 0; begin < emerging.size();
        begin += static_cast<size_t>(chunk)) {
     const size_t end =
@@ -142,16 +139,10 @@ int IngestEmerging(serve::Client* client, int argc, char** argv) {
     }
     accepted += response.accepted;
     invalidated += response.invalidated;
-    patched += response.patched;
-    repaired += response.repaired;
   }
-  std::printf(
-      "ingested %llu emerging triples (%llu cache invalidations, "
-      "%llu patched, %llu repaired)\n",
-      static_cast<unsigned long long>(accepted),
-      static_cast<unsigned long long>(invalidated),
-      static_cast<unsigned long long>(patched),
-      static_cast<unsigned long long>(repaired));
+  std::printf("ingested %llu emerging triples (%llu cache invalidations)\n",
+              static_cast<unsigned long long>(accepted),
+              static_cast<unsigned long long>(invalidated));
   return 0;
 }
 
@@ -187,12 +178,6 @@ int Stats(serve::Client* client) {
               static_cast<unsigned long long>(s.cache_evictions));
   std::printf("cache_invalidated\t%llu\n",
               static_cast<unsigned long long>(s.cache_invalidated));
-  std::printf("cache_patched\t%llu\n",
-              static_cast<unsigned long long>(s.cache_patched));
-  std::printf("cache_repaired\t%llu\n",
-              static_cast<unsigned long long>(s.cache_repaired));
-  std::printf("cache_fallback\t%llu\n",
-              static_cast<unsigned long long>(s.cache_fallback));
   std::printf("cache_bytes\t%llu\n",
               static_cast<unsigned long long>(s.cache_bytes));
   std::printf("graph_triples\t%llu\n",
@@ -205,22 +190,15 @@ int Stats(serve::Client* client) {
               static_cast<unsigned long long>(s.embedding_refreshes));
   std::printf("epoch\t%llu\n", static_cast<unsigned long long>(s.epoch));
   std::printf("uptime_s\t%.3f\n", s.uptime_s);
-  std::printf("precision\t%s\n",
-              dekg::quant::PrecisionName(
-                  static_cast<dekg::quant::Precision>(s.precision)));
   std::printf("frozen_row_bytes\t%llu\n",
               static_cast<unsigned long long>(s.frozen_row_bytes));
   std::printf("frozen_weight_bytes\t%llu\n",
               static_cast<unsigned long long>(s.frozen_weight_bytes));
   for (const serve::ShardStatsBlock& b : s.shards) {
-    std::printf("shard[%u]\thits %llu\tmisses %llu\tentries %llu\t"
-                "patched %llu\trepaired %llu\tfallback %llu\n",
-                b.shard, static_cast<unsigned long long>(b.cache_hits),
+    std::printf("shard[%u]\thits %llu\tmisses %llu\tentries %llu\n", b.shard,
+                static_cast<unsigned long long>(b.cache_hits),
                 static_cast<unsigned long long>(b.cache_misses),
-                static_cast<unsigned long long>(b.cache_entries),
-                static_cast<unsigned long long>(b.cache_patched),
-                static_cast<unsigned long long>(b.cache_repaired),
-                static_cast<unsigned long long>(b.cache_fallback));
+                static_cast<unsigned long long>(b.cache_entries));
   }
   return 0;
 }
