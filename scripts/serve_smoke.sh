@@ -16,6 +16,9 @@
 #      consistent-hash fan-in and connection pipelining change nothing.
 #      Each shard caches at most 4 subgraphs (--cache 4), so served
 #      requests evict while ingest maintains the cache
+#   6. out-of-range flags (--port, --cache, --batch, --shards,
+#      --max-entities below the base graph's entity count) must each
+#      exit 2 before serving, writing no port file
 #
 # Usage: scripts/serve_smoke.sh [build_dir]   (default: build)
 set -e
@@ -111,5 +114,23 @@ echo "bitwise match (3 shards, pipeline depth 4, after live ingestion)"
 "$BUILD/tools/dekg_serve_client" "$PORT" shutdown
 wait "$SERVER_PID"
 SERVER_PID=""
+
+echo "== serve smoke: out-of-range flags exit 2 =="
+# The 0.3-scale world has far more than 10 entities. timeout turns a
+# server that starts anyway into a failure instead of a hang.
+for BAD in "--port 70000" "--port -1" "--cache -1" "--batch 0" \
+    "--shards 0" "--max-entities 10"; do
+  rm -f "$WORK/bad_port"
+  STATUS=0
+  # shellcheck disable=SC2086
+  timeout 60 "$BUILD/tools/dekg_serve" "$DATA" "$CKPT" --dim 16 $BAD \
+    --port-file "$WORK/bad_port" 2> "$WORK/bad_flag.err" || STATUS=$?
+  if [ "$STATUS" -ne 2 ] || [ -e "$WORK/bad_port" ]; then
+    echo "dekg_serve $BAD: exit $STATUS, expected 2 with no port file" >&2
+    cat "$WORK/bad_flag.err" >&2
+    exit 1
+  fi
+  echo "$BAD: exit 2: $(cat "$WORK/bad_flag.err")"
+done
 
 echo "Serve smoke passed."

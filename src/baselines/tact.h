@@ -39,8 +39,8 @@ class Tact : public nn::Module, public LinkPredictor {
                     bool training, Rng* rng,
                     const Subgraph* subgraph = nullptr);
 
-  // The GSM whose extraction ScoreLink uses; core::Trainer prefills its
-  // subgraph cache through it.
+  // The GSM whose extraction ScoreLink uses; core::Trainer extracts its
+  // subgraph cache's misses through it.
   const core::Gsm* gsm() const { return gsm_.get(); }
 
   // ----- LinkPredictor -----

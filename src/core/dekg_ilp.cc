@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "common/thread_pool.h"
+#include "graph/subgraph_cache.h"
 
 namespace dekg::core {
 

@@ -79,7 +79,7 @@ class Gsm : public nn::Module {
   // across `pool` (or the default pool when null); each worker owns a
   // SubgraphWorkspace. Extraction is RNG-free and deterministic, so the
   // result is identical at any thread count. Results are index-aligned
-  // with `triples` — the SubgraphCache prefill consumes them in that
+  // with `triples` — the trainer admits them to its SubgraphCache in that
   // fixed order.
   std::vector<Subgraph> ExtractBatch(const KnowledgeGraph& graph,
                                      const std::vector<Triple>& triples,

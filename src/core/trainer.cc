@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <unordered_map>
 
 namespace dekg::core {
 
@@ -134,44 +135,34 @@ double Trainer::TrainEpoch() {
   // bit-identical regardless of batch shapes or thread counts.
   const uint64_t epoch_seed = rng_.NextUint64();
 
-  // ----- Subgraph-cache prefill (positives only) -----
-  // Phase A/B: one Lookup per epoch triple scopes hit/miss stats to this
-  // epoch and collects the misses. Phase C: extract misses in parallel,
-  // insert serially in index order (deterministic FIFO age). Phase D:
-  // resolve a read-only pointer per example; entries the capacity bound
-  // evicted mid-prefill are served from the extraction buffer instead.
+  // ----- Subgraph cache (positives only) -----
+  // As in the serve engine: one Lookup per epoch triple scopes hit/miss
+  // stats to this epoch and collects the distinct misses, which are
+  // extracted in parallel into epoch-local storage; every example then
+  // reads its resident or freshly extracted subgraph. The misses are
+  // admitted after the epoch in first-miss order (deterministic FIFO
+  // age), so nothing is admitted or evicted while examples hold these
+  // pointers.
   cache_.ResetCounters();
   const bool use_cache = config_.use_subgraph_cache && gsm_ != nullptr;
   std::vector<const Subgraph*> positive_subgraphs(triples.size(), nullptr);
-  std::vector<Subgraph> extracted;  // kept alive for the whole epoch
-  std::vector<int64_t> extracted_slot;  // example index -> extracted index
+  std::vector<Triple> missing;  // distinct misses, first-miss order
+  std::vector<Subgraph> extracted;  // index-aligned with `missing`
   if (use_cache) {
-    std::vector<Triple> missing;
-    extracted_slot.assign(triples.size(), -1);
+    std::vector<size_t> miss_slot(triples.size(), 0);
+    std::unordered_map<Triple, size_t, TripleHash> slot_of;
     for (size_t i = 0; i < triples.size(); ++i) {
-      if (cache_.Lookup(triples[i]) == nullptr) {
-        extracted_slot[i] = static_cast<int64_t>(missing.size());
-        missing.push_back(triples[i]);
-      }
+      positive_subgraphs[i] = cache_.Lookup(triples[i]);
+      if (positive_subgraphs[i] != nullptr) continue;
+      const auto [it, fresh] = slot_of.emplace(triples[i], missing.size());
+      if (fresh) missing.push_back(triples[i]);
+      miss_slot[i] = it->second;
     }
     extracted = gsm_->ExtractBatch(graph, missing, pool_.get());
     for (size_t i = 0; i < triples.size(); ++i) {
-      if (extracted_slot[i] >= 0) {
-        cache_.Insert(triples[i],
-                      extracted[static_cast<size_t>(extracted_slot[i])]);
+      if (positive_subgraphs[i] == nullptr) {
+        positive_subgraphs[i] = &extracted[miss_slot[i]];
       }
-    }
-    for (size_t i = 0; i < triples.size(); ++i) {
-      const Subgraph* cached = cache_.Find(triples[i]);
-      if (cached != nullptr) {
-        positive_subgraphs[i] = cached;
-      } else if (extracted_slot[i] >= 0) {
-        // Evicted during this prefill; the extraction buffer still holds it.
-        positive_subgraphs[i] =
-            &extracted[static_cast<size_t>(extracted_slot[i])];
-      }
-      // else: was resident at lookup time but evicted by later inserts —
-      // left null, the example falls back to a fresh extraction.
     }
   }
 
@@ -230,6 +221,13 @@ double Trainer::TrainEpoch() {
     } else {
       optimizer_.Step();
     }
+  }
+  // The training graph never grows, so the misses post no touched set.
+  // Each is admitted as a copy: an extraction's arrays grew by push_back
+  // and hold about a quarter more capacity than size, which a copy drops
+  // and the cache would otherwise keep for the rest of training.
+  for (size_t m = 0; m < missing.size(); ++m) {
+    cache_.Admit(missing[m], extracted[m], {});
   }
   return count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
 }

@@ -13,8 +13,9 @@
 // whose leaf gradients land in per-example GradSinks, and sinks are
 // reduced in fixed example order before the optimizer step. With a GSM,
 // positive-triple subgraphs are extracted once into an epoch-persistent
-// SubgraphCache; the optimizer runs row-sparse hot-row-tracked updates
-// over embedding-style parameters.
+// SubgraphCache, admitted after the epoch that missed them; the optimizer
+// runs row-sparse hot-row-tracked updates over embedding-style
+// parameters.
 #ifndef DEKG_CORE_TRAINER_H_
 #define DEKG_CORE_TRAINER_H_
 
@@ -25,6 +26,7 @@
 
 #include "common/thread_pool.h"
 #include "core/dekg_ilp.h"
+#include "graph/subgraph_cache.h"
 #include "kg/dataset.h"
 #include "nn/optimizer.h"
 #include "nn/train_checkpoint.h"
@@ -96,9 +98,9 @@ ExampleLoss MarginLoss(const DekgDataset* dataset, int32_t negatives,
 class Trainer {
  public:
   // Trains `module` on `loss` over dataset->train_triples(). With a
-  // non-null `gsm`, each epoch prefills the subgraph cache with the
-  // positives' enclosing subgraphs (when config.use_subgraph_cache is
-  // set) and hands them to `loss`. `name` labels verbose logs.
+  // non-null `gsm` and config.use_subgraph_cache set, each epoch serves
+  // the positives' enclosing subgraphs from the subgraph cache, extracting
+  // the misses, and hands them to `loss`. `name` labels verbose logs.
   Trainer(nn::Module* module, const DekgDataset* dataset,
           const TrainConfig& config, ExampleLoss loss,
           const Gsm* gsm = nullptr, std::string name = "model");

@@ -25,7 +25,7 @@
 
 namespace dekg {
 
-class SubgraphCache;  // graph/subgraph.h
+class SubgraphCache;  // graph/subgraph_cache.h
 
 // Interface every scoring model implements. Scores are arbitrary reals;
 // higher means more plausible.

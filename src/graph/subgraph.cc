@@ -399,46 +399,4 @@ int64_t SubgraphPayloadBytes(const Subgraph& s) {
                               s.edges.size() * sizeof(SubgraphEdge));
 }
 
-SubgraphCache::SubgraphCache(int64_t capacity) : capacity_(capacity) {
-  DEKG_CHECK_GE(capacity, 0);
-}
-
-const Subgraph* SubgraphCache::Lookup(const Triple& triple) {
-  const Subgraph* found = Find(triple);
-  ++(found != nullptr ? stats_.hits : stats_.misses);
-  return found;
-}
-
-const Subgraph* SubgraphCache::Find(const Triple& triple) const {
-  auto it = map_.find(triple);
-  return it == map_.end() ? nullptr : &it->second;
-}
-
-const Subgraph* SubgraphCache::Insert(const Triple& triple, Subgraph subgraph) {
-  auto it = map_.find(triple);
-  if (it != map_.end()) return &it->second;
-  if (capacity_ > 0 && stats_.entries == capacity_) {
-    // FIFO: retire the oldest insertion. Every resident key is queued
-    // once and nothing else leaves the map, so the front is resident.
-    const auto victim = map_.find(fifo_.front());
-    fifo_.pop_front();
-    stats_.bytes -= SubgraphPayloadBytes(victim->second);
-    map_.erase(victim);
-    ++stats_.evictions;
-    --stats_.entries;
-  }
-  const Subgraph& stored =
-      map_.emplace(triple, std::move(subgraph)).first->second;
-  stats_.bytes += SubgraphPayloadBytes(stored);
-  ++stats_.entries;
-  if (capacity_ > 0) fifo_.push_back(triple);
-  return &stored;
-}
-
-void SubgraphCache::ResetCounters() {
-  stats_.hits = 0;
-  stats_.misses = 0;
-  stats_.evictions = 0;
-}
-
 }  // namespace dekg

@@ -26,8 +26,6 @@
 #define DEKG_GRAPH_SUBGRAPH_H_
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "kg/knowledge_graph.h"
@@ -161,7 +159,7 @@ struct SubgraphWorkspace {
 };
 
 // A lazily constructed workspace owned by the calling thread, reused for
-// its lifetime. The hot extraction paths (training prefill, evaluation,
+// its lifetime. The hot extraction paths (training cache misses, evaluation,
 // serving cache misses) route through this so repeated extractions touch
 // only O(touched) state — a fresh workspace would pay an O(num_entities)
 // allocation + zero-fill per call, which is exactly what the stamps
@@ -232,9 +230,9 @@ Subgraph ExtractSubgraphDense(const KnowledgeGraph& g, EntityId head,
 // edge newly induced between kept nodes has both endpoints in it. So
 // dropping every cached extraction whose touched set holds a new edge's
 // endpoint is exact: nothing stale survives, and an extraction left
-// resident is bit-identical to a fresh one on the grown graph. The serve
-// cache (serve::ShardCache) indexes its resident subgraphs by this set
-// and invalidates on ingest by that rule.
+// resident is bit-identical to a fresh one on the grown graph. Each serve
+// shard's SubgraphCache (graph/subgraph_cache.h) indexes its resident
+// subgraphs by this set and invalidates on ingest by that rule.
 // O(touched): reads the workspace's stored union, no entity scan.
 std::vector<EntityId> TouchedEntities(const SubgraphWorkspace& workspace);
 
@@ -258,58 +256,8 @@ struct TouchedLabels {
 TouchedLabels TouchedEntityLabels(const SubgraphWorkspace& workspace);
 
 // Bytes of a subgraph's node and edge arrays (sizes, not capacities): the
-// payload SubgraphCache and the serve shards' serve::ShardCache account.
+// payload SubgraphCache (graph/subgraph_cache.h) accounts.
 int64_t SubgraphPayloadBytes(const Subgraph& s);
-
-// Epoch-persistent cache of extracted subgraphs, keyed by the target
-// triple, for the training loop and Evaluate. Extraction is deterministic
-// over an immutable graph, so a cached subgraph is exactly what a fresh
-// extraction would produce — serving from the cache is numerically
-// transparent. The cache is NOT thread-safe: the training loop prefills
-// it serially (from parallel-extracted results in fixed index order) and
-// serves it read-only during the epoch.
-//
-// Insert-only: nothing erases or replaces an entry, so a bounded cache
-// evicts FIFO over insertion order from a plain queue of its resident
-// keys, deterministic because insertion order is. An entry's address is
-// stable until it is evicted (map nodes do not move on rehash).
-class SubgraphCache {
- public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t entries = 0;
-    int64_t bytes = 0;  // SubgraphPayloadBytes of the resident entries
-  };
-
-  // capacity = maximum resident subgraphs; 0 = unlimited.
-  explicit SubgraphCache(int64_t capacity = 0);
-
-  // Returns the cached subgraph for `triple` or null, counting a hit or
-  // a miss.
-  const Subgraph* Lookup(const Triple& triple);
-
-  // Lookup without touching the hit/miss counters.
-  const Subgraph* Find(const Triple& triple) const;
-
-  // Stores `subgraph` under `triple` (no-op when already resident),
-  // evicting the oldest insertion first when at capacity. Returns the
-  // resident subgraph.
-  const Subgraph* Insert(const Triple& triple, Subgraph subgraph);
-
-  // Zeroes hits/misses/evictions; entries/bytes reflect residency and are
-  // kept. Used to scope hit-rate measurement to one epoch.
-  void ResetCounters();
-
-  const Stats& stats() const { return stats_; }
-
- private:
-  int64_t capacity_;
-  Stats stats_;
-  std::unordered_map<Triple, Subgraph, TripleHash> map_;
-  std::deque<Triple> fifo_;  // resident keys, oldest first; bounded only
-};
 
 }  // namespace dekg
 

@@ -1,35 +1,35 @@
-#include "serve/shard_cache.h"
+#include "graph/subgraph_cache.h"
 
 #include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
 
-namespace dekg::serve {
+namespace dekg {
 
-ShardCache::ShardCache(int64_t capacity) : capacity_(capacity) {
+SubgraphCache::SubgraphCache(int64_t capacity) : capacity_(capacity) {
   DEKG_CHECK_GE(capacity, 0);
 }
 
-const Subgraph* ShardCache::Lookup(const Triple& key) {
+const Subgraph* SubgraphCache::Lookup(const Triple& key) {
   const Subgraph* found = Find(key);
   ++(found != nullptr ? stats_.hits : stats_.misses);
   return found;
 }
 
-const Subgraph* ShardCache::Find(const Triple& key) const {
+const Subgraph* SubgraphCache::Find(const Triple& key) const {
   const auto it = slot_of_.find(key);
   return it == slot_of_.end() ? nullptr : &slots_[it->second].subgraph;
 }
 
-void ShardCache::Admit(const Triple& key, Subgraph subgraph,
-                       const std::vector<EntityId>& touched) {
+void SubgraphCache::Admit(const Triple& key, Subgraph subgraph,
+                          const std::vector<EntityId>& touched) {
   while (capacity_ > 0 && stats_.entries >= capacity_) {
     Free(head_);
     ++stats_.evictions;
   }
   const auto [it, fresh] = slot_of_.try_emplace(key, 0);
-  DEKG_CHECK(fresh) << "ShardCache::Admit: key already resident";
+  DEKG_CHECK(fresh) << "SubgraphCache::Admit: key already resident";
   if (free_slots_.empty()) {
     DEKG_CHECK_LT(slots_.size(), kMaxSlots);
     it->second = static_cast<uint32_t>(slots_.size());
@@ -63,14 +63,14 @@ void ShardCache::Admit(const Triple& key, Subgraph subgraph,
   ++stats_.entries;
 }
 
-bool ShardCache::Remove(const Triple& key) {
+bool SubgraphCache::Remove(const Triple& key) {
   const auto it = slot_of_.find(key);
   if (it == slot_of_.end()) return false;
   Free(it->second);
   return true;
 }
 
-std::vector<Triple> ShardCache::Affected(
+std::vector<Triple> SubgraphCache::Affected(
     const std::vector<EntityId>& entities) {
   if (++query_ == 0) {
     // Stamp wrap: clear every slot's stamp once, then restart at 1.
@@ -97,13 +97,19 @@ std::vector<Triple> ShardCache::Affected(
   return out;
 }
 
-void ShardCache::Unlink(uint32_t s) {
+void SubgraphCache::ResetCounters() {
+  stats_.hits = 0;
+  stats_.misses = 0;
+  stats_.evictions = 0;
+}
+
+void SubgraphCache::Unlink(uint32_t s) {
   const Slot& slot = slots_[s];
   (slot.prev == kNone ? head_ : slots_[slot.prev].next) = slot.next;
   (slot.next == kNone ? tail_ : slots_[slot.next].prev) = slot.prev;
 }
 
-void ShardCache::Free(uint32_t s) {
+void SubgraphCache::Free(uint32_t s) {
   Unlink(s);
   Slot& slot = slots_[s];
   slot_of_.erase(slot.key);
@@ -121,7 +127,7 @@ void ShardCache::Free(uint32_t s) {
   }
 }
 
-void ShardCache::Sweep(uint32_t freed) {
+void SubgraphCache::Sweep(uint32_t freed) {
   for (std::vector<Posting>& list : postings_) {
     list.erase(std::remove_if(list.begin(), list.end(),
                               [this, freed](Posting p) {
@@ -134,4 +140,4 @@ void ShardCache::Sweep(uint32_t freed) {
   ++sweeps_;
 }
 
-}  // namespace dekg::serve
+}  // namespace dekg

@@ -1,7 +1,10 @@
-// The resident store of one serve shard (DESIGN.md §13). It makes every
-// residency decision — lookup, admission, FIFO eviction and invalidation
-// — over one dense slot per resident key {key, generation, subgraph,
-// posted count, prev, next}, found through a key → slot map.
+// The one store of extracted enclosing subgraphs, keyed by the target
+// triple (DESIGN.md §8, §13). The trainer, Evaluate and every serve shard
+// use it. It makes every residency decision — lookup, admission, FIFO
+// eviction and invalidation — over one dense slot per resident key {key,
+// generation, subgraph, posted count, prev, next}, found through a key →
+// slot map. Extraction is deterministic, so a resident subgraph is
+// exactly what a fresh extraction on the same graph returns.
 //
 // prev/next link the resident slots into one FIFO list in admission
 // order. Admit evicts from the head and links at the tail and Remove
@@ -13,7 +16,9 @@
 // by EntityId, naming the resident keys whose touched set holds it: a
 // posting packs a 24-bit slot and that slot's 8-bit generation, and is
 // live iff its generation equals its slot's. A slot keeps only how many
-// postings it made, which is all freeing it needs to know.
+// postings it made, which is all freeing it needs to know. A caller on a
+// graph that never grows (the trainer) admits with an empty touched
+// list, which posts nothing.
 // Freeing a slot bumps its generation and leaves its postings stale, so
 // a later key that reuses the slot is never reported through them.
 // Affected drops the stale postings it scans, and a full sweep drops them
@@ -22,9 +27,9 @@
 // its value at the last sweep, and drops every posting of that free slot,
 // so an 8-bit generation never aliases (DESIGN.md §13 has the argument).
 //
-// Not thread-safe; the engine calls it from one thread at a time.
-#ifndef DEKG_SERVE_SHARD_CACHE_H_
-#define DEKG_SERVE_SHARD_CACHE_H_
+// Not thread-safe; each owner calls it from one thread at a time.
+#ifndef DEKG_GRAPH_SUBGRAPH_CACHE_H_
+#define DEKG_GRAPH_SUBGRAPH_CACHE_H_
 
 #include <cstdint>
 #include <unordered_map>
@@ -33,13 +38,17 @@
 #include "graph/subgraph.h"
 #include "kg/knowledge_graph.h"
 
-namespace dekg::serve {
+namespace dekg {
 
-class ShardCache {
+class SubgraphCache {
  public:
-  // The counters SubgraphCache keeps: hits, misses, evictions (capacity
-  // driven only), entries and payload bytes (SubgraphPayloadBytes).
-  using Stats = SubgraphCache::Stats;
+  struct Stats {
+    int64_t hits = 0;
+    int64_t misses = 0;
+    int64_t evictions = 0;  // capacity-driven only
+    int64_t entries = 0;
+    int64_t bytes = 0;  // SubgraphPayloadBytes of the resident entries
+  };
 
   // Stale postings tolerated beyond the live count before a full sweep.
   static constexpr int64_t kSweepSlack = 4096;
@@ -47,7 +56,7 @@ class ShardCache {
   static constexpr uint32_t kMaxSlots = 1u << 24;
 
   // capacity = maximum resident entries; 0 = unlimited.
-  explicit ShardCache(int64_t capacity = 0);
+  explicit SubgraphCache(int64_t capacity = 0);
 
   // The resident subgraph of `key` or null, counting a hit or a miss. The
   // pointer is valid until the next Admit or Remove.
@@ -71,6 +80,10 @@ class ShardCache {
   // once, in the order its first live posting is met. Drops the stale
   // postings of the scanned lists.
   std::vector<Triple> Affected(const std::vector<EntityId>& entities);
+
+  // Zeroes hits, misses and evictions; entries and bytes reflect
+  // residency and are kept. The trainer scopes them to one epoch.
+  void ResetCounters();
 
   const Stats& stats() const { return stats_; }
   int64_t live_postings() const { return live_; }
@@ -124,6 +137,6 @@ class ShardCache {
   int64_t posting_bytes_ = 0;
 };
 
-}  // namespace dekg::serve
+}  // namespace dekg
 
-#endif  // DEKG_SERVE_SHARD_CACHE_H_
+#endif  // DEKG_GRAPH_SUBGRAPH_CACHE_H_

@@ -162,7 +162,7 @@ void InferenceEngine::CatchUpCache(const GraphSnapshot& snap,
 
 EngineStats InferenceEngine::Stats() const {
   EngineStats stats;
-  const ShardCache::Stats& cs = cache_.stats();
+  const SubgraphCache::Stats& cs = cache_.stats();
   stats.cache_hits = static_cast<uint64_t>(cs.hits);
   stats.cache_misses = static_cast<uint64_t>(cs.misses);
   stats.cache_entries = static_cast<uint64_t>(cs.entries);

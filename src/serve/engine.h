@@ -1,8 +1,8 @@
 // Inference engine of the online scoring server (DESIGN.md §9, §14): one
 // shard of a serve::Router.
 //
-// Owns a shard's resident subgraphs in one serve::ShardCache
-// (serve/shard_cache.h), which makes every residency decision, and
+// Owns a shard's resident subgraphs in one SubgraphCache
+// (graph/subgraph_cache.h), which makes every residency decision, and
 // borrows the frozen DEKG-ILP model and the router's shared
 // SnapshotWriter, which it never ingests into. It reads graph + CLRM
 // rows from epoch-tagged immutable snapshots (serve/snapshot.h): at the
@@ -18,13 +18,14 @@
 // scheduler thread, or one router fan-out worker per shard):
 //
 //  * ScoreBatch — scores a micro-batch of triples against the current
-//    snapshot. Cache lookups and insertions are serial (index order);
+//    snapshot. Cache lookups and admissions are serial (index order);
 //    extraction of misses and core::ScoreInference fan out over the
 //    thread pool with read-only shared state, so results are
 //    bit-identical at any thread count.
-//  * CatchUpCache — the ingest-side cache maintenance, factored out so
-//    the router can run it synchronously per shard (deterministic
-//    server mode) or let each shard self-serve lazily.
+//  * CatchUpCache — the ingest-side cache maintenance. The router runs
+//    it on every shard before Ingest returns; ScoreBatch runs it first
+//    too, so an engine over a writer that another thread ingests into
+//    catches up at its next batch.
 //  * Stats — counter snapshot.
 //
 // Determinism contract: a score depends only on (triple, snapshot graph)
@@ -44,16 +45,16 @@
 
 #include "core/dekg_ilp.h"
 #include "graph/subgraph.h"
+#include "graph/subgraph_cache.h"
 #include "serve/live_graph.h"
 #include "serve/protocol.h"
-#include "serve/shard_cache.h"
 #include "serve/snapshot.h"
 
 namespace dekg::serve {
 
 struct EngineConfig {
   // Maximum resident cached subgraphs per shard (0 = unlimited), evicted
-  // FIFO by the shard's ShardCache.
+  // FIFO by the shard's SubgraphCache.
   int64_t cache_capacity = 4096;
   LiveGraphConfig live_graph;
   // Packed-batch grouping handed to core::ScoreInference. Bitwise
@@ -67,8 +68,8 @@ struct EngineConfig {
   // and repeated hot queries skip the GNN forward entirely. Capacity is
   // a hard bound on resident entries; when full, new scores are simply
   // not memoized (no eviction, so hit/miss behavior is a pure function
-  // of the request history). 0 disables the memo — benches and tests
-  // that measure the subgraph-cache path itself set 0.
+  // of the request history). 0 disables the memo — tests that drive the
+  // subgraph-cache path itself set 0.
   int64_t score_memo_capacity = 1 << 16;
 };
 
@@ -87,7 +88,7 @@ struct EngineStats {
   uint64_t cache_evictions = 0;    // capacity-driven removals
   uint64_t cache_invalidated = 0;  // ingest-driven removals
   uint64_t cache_bytes = 0;  // subgraph payload only
-  // Touched-entity index: posting bytes (ShardCache::index_bytes) and
+  // Touched-entity index: posting bytes (SubgraphCache::index_bytes) and
   // full sweeps of its stale postings.
   uint64_t index_bytes = 0;
   uint64_t index_sweeps = 0;
@@ -165,7 +166,7 @@ class InferenceEngine {
 
   // The resident subgraphs (FIFO at config_.cache_capacity) and,
   // inverted, the keys each entity's new edges can affect.
-  ShardCache cache_;
+  SubgraphCache cache_;
 
   // Finished-score memo for the caught-up epoch (see
   // EngineConfig::score_memo_capacity). Flushed by CatchUpCache on every

@@ -70,7 +70,6 @@ void Router::Ingest(const std::vector<Triple>& triples,
   response->accepted = report.accepted;
   response->duplicates = report.duplicates;
   response->new_entities = report.new_entities;
-  if (!config_.synchronous_maintenance) return;
   // Serial over shards: maintenance counters accumulate into one
   // response, and the scheduler thread owns every shard right now.
   const std::shared_ptr<const GraphSnapshot> snap = writer_.Current();

@@ -21,20 +21,12 @@
 // is bit-identical to the 1-shard (and offline) path for every shard
 // count.
 //
-// Ingest goes through the writer once; with synchronous_maintenance
-// (the deterministic server default) every shard's cache is caught up
-// before Ingest returns, and the response carries the summed
-// invalidated count. With it off, Ingest returns as
-// soon as the new snapshot is published and each shard catches up at
-// its next ScoreBatch — that is the concurrent-reader mode the snapshot
-// churn test exercises (a reader scoring concurrently with the writer
-// never waits for ingest work and never sees a half-applied batch).
+// Ingest goes through the writer once, then catches every shard's cache
+// up before it returns, so the response carries the summed invalidated
+// count and the server answers exactly as one engine would.
 //
 // Threading: ScoreBatch, Ingest, and Stats are scheduler-thread calls
-// (one at a time). The exception is the deferred mode above: one thread
-// may call Ingest while another calls ScoreBatch — writer state and
-// reader state are disjoint, and the snapshot hand-off is a pointer swap
-// under a mutex that guards nothing else (SnapshotWriter::Current).
+// (one at a time).
 #ifndef DEKG_SERVE_ROUTER_H_
 #define DEKG_SERVE_ROUTER_H_
 
@@ -55,12 +47,6 @@ struct RouterConfig {
   int32_t num_shards = 1;
   // Per-shard engine configuration. cache_capacity applies per shard.
   EngineConfig engine;
-  // true: Ingest catches every shard's cache up before returning, so
-  // ingest responses carry exact invalidated counts and
-  // the scheduler-serialized server answers exactly as one engine
-  // would. false: Ingest returns at snapshot publication; shards catch
-  // up lazily at their next ScoreBatch (readers never wait for ingest).
-  bool synchronous_maintenance = true;
 };
 
 class Router {

@@ -112,17 +112,34 @@ void ScoringServer::AcceptLoop() {
     // without this, Nagle holds each behind the previous frame's ACK.
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::vector<std::unique_ptr<Connection>> closed;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      std::vector<std::unique_ptr<Connection>> live;
+      for (std::unique_ptr<Connection>& connection : connections_) {
+        (connection->done ? closed : live).push_back(std::move(connection));
+      }
+      connections_ = std::move(live);
+      connections_.push_back(std::make_unique<Connection>());
+      Connection* connection = connections_.back().get();
+      connection->fd = fd;
+      connection->thread =
+          std::thread([this, connection] { HandleConnection(connection); });
     }
-    connections_.push_back(std::make_unique<Connection>());
-    Connection* connection = connections_.back().get();
-    connection->fd = fd;
-    connection->thread =
-        std::thread([this, connection] { HandleConnection(connection); });
+    // Outside the lock: a handler takes mutex_ on its way out.
+    for (const std::unique_ptr<Connection>& connection : closed) {
+      connection->thread.join();
+    }
   }
+}
+
+size_t ScoringServer::tracked_connections() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return connections_.size();
 }
 
 namespace {
@@ -327,6 +344,10 @@ void ScoringServer::HandleConnection(Connection* connection) {
   // A shutdown request stops the whole server once its response is on
   // the wire.
   if (stop_after_close) RequestStop();
+  // Last step: from here the accept thread may join this thread and free
+  // the record.
+  std::lock_guard<std::mutex> lock(mutex_);
+  connection->done = true;
 }
 
 }  // namespace dekg::serve

@@ -21,6 +21,11 @@
 // SHUT_RD, both threads join, and the fd is closed exactly once. The
 // scheduler and every other connection are unaffected.
 //
+// A closed connection's record and thread are freed at the next accept:
+// its handler marks it done as its last step, and the accept thread
+// joins the done ones outside the server mutex (a handler takes that
+// mutex, so joining under it could deadlock).
+//
 // Shutdown is graceful: RequestStop() (idempotent, callable from any
 // thread, including a connection thread handling kShutdownRequest or a
 // signal-watcher thread) closes the listener; Wait() then stops accepting,
@@ -74,10 +79,15 @@ class ScoringServer {
   // pulling new frames off the socket.
   static constexpr size_t kMaxPipelineDepth = 256;
 
+  // Connection records held: the live connections plus the closed ones
+  // the accept thread has not reaped yet.
+  size_t tracked_connections() const;
+
  private:
   struct Connection {
     int fd = -1;
     std::thread thread;  // reader; the writer thread is handler-local
+    bool done = false;  // the handler has returned or is about to
   };
 
   void AcceptLoop();
@@ -89,7 +99,7 @@ class ScoringServer {
   uint16_t port_ = 0;
   std::thread accept_thread_;
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
   bool stopping_ = false;
   bool stopped_ = false;

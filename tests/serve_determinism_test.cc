@@ -3,9 +3,9 @@
 // thread count and any micro-batch size. Covered at four levels — engine
 // vs offline predictor, the full Evaluate protocol through a one-shard
 // router, micro-batch composition invariance, and the full in-process TCP
-// stack (server + client) — plus the STATS frozen-model accounting and
-// the EvalConfig::subgraph_cache read-only handle the serve layer shares
-// with the offline evaluator.
+// stack (server + client) — plus the STATS frozen-model accounting,
+// closed-connection reaping, and the EvalConfig::subgraph_cache
+// read-only handle the serve layer shares with the offline evaluator.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -23,6 +23,7 @@
 #include "datagen/synthetic_kg.h"
 #include "eval/evaluator.h"
 #include "graph/subgraph.h"
+#include "graph/subgraph_cache.h"
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -700,6 +701,55 @@ TEST(ServeDeterminismTest, KillMidPipelineLeavesServerServingAndLeaksNoFds) {
   server.Wait();
 }
 
+TEST(ServeDeterminismTest, ClosedConnectionsAreReapedWhileServing) {
+  // Every accepted connection gets a record and a reader thread. A closed
+  // one must be freed while the server runs, not kept until shutdown:
+  // across many sequential connections the tracked count stays small,
+  // and once the handlers have wound down a new connection finds only
+  // itself tracked.
+  DekgDataset dataset = SyntheticDataset();
+  core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
+                           /*seed=*/3);
+  Router router(&model, dataset.inference_graph(), RouterConfig{});
+  MicroBatcher batcher(&router, BatcherConfig{});
+  ScoringServer server(&batcher, ServerConfig{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // One STATS round trip on a fresh connection, then close it; returns
+  // the tracked count while it was open.
+  const auto round_trip = [&] {
+    Client client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    StatsResponse stats;
+    EXPECT_TRUE(client.Stats(&stats, &error)) << error;
+    const size_t tracked = server.tracked_connections();
+    client.Close();
+    return tracked;
+  };
+  constexpr size_t kConnections = 64;
+  size_t most = 0;
+  for (size_t i = 0; i < kConnections; ++i) {
+    most = std::max(most, round_trip());
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "connection " << i;
+  }
+  EXPECT_LE(most, kConnections / 4)
+      << "closed connections were kept instead of reaped";
+
+  // Once the handlers have wound down, an accept reaps every closed
+  // record. The tries are bounded, so a server that never reaps fails
+  // here after a few hundred connections in all.
+  size_t settled = round_trip();
+  for (int attempt = 0; settled > 1 && attempt < 100; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    settled = round_trip();
+  }
+  EXPECT_EQ(settled, 1u);
+
+  server.RequestStop();
+  server.Wait();
+}
+
 TEST(ServeDeterminismTest, EvalSubgraphCacheHandleIsTransparent) {
   DekgDataset dataset = SyntheticDataset();
   core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
@@ -721,8 +771,11 @@ TEST(ServeDeterminismTest, EvalSubgraphCacheHandleIsTransparent) {
   subgraph_config.labeling = model.config().labeling;
   for (const LabeledLink& link : dataset.test_links()) {
     const Triple& t = link.triple;
-    cache.Insert(t, ExtractSubgraph(dataset.inference_graph(), t.head, t.tail,
-                                    t.rel, subgraph_config));
+    if (cache.Find(t) != nullptr) continue;  // a repeated link
+    cache.Admit(t,
+                ExtractSubgraph(dataset.inference_graph(), t.head, t.tail,
+                                t.rel, subgraph_config),
+                {});
   }
   const SubgraphCache::Stats before = cache.stats();
   config.subgraph_cache = &cache;
@@ -735,7 +788,7 @@ TEST(ServeDeterminismTest, EvalSubgraphCacheHandleIsTransparent) {
   }
   EXPECT_EQ(plain.overall.mrr, with_cache.overall.mrr);
   EXPECT_EQ(plain.overall.hits_at_10, with_cache.overall.hits_at_10);
-  // Read-only: Evaluate used Find(), never Lookup()/Insert().
+  // Read-only: Evaluate used Find(), never Lookup()/Admit().
   EXPECT_EQ(cache.stats().hits, before.hits);
   EXPECT_EQ(cache.stats().misses, before.misses);
   EXPECT_EQ(cache.stats().entries, before.entries);

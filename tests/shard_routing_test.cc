@@ -3,9 +3,9 @@
 // consistent-hash growth moves keys only to the new shard; the router's
 // index-ordered fan-in is bit-identical to the single-engine (and
 // offline) path at every shard count × pipeline depth, also while a
-// second connection ingests; and epoch-snapshot ingest never blocks a
-// concurrently scoring reader, which converges to the static BuildGraph
-// oracle at every epoch.
+// second connection ingests; and epoch-snapshot ingest never blocks an
+// engine scoring concurrently over the same writer, which converges to
+// the static BuildGraph oracle at every epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "serve/router.h"
 #include "serve/server.h"
 #include "serve/shard_map.h"
+#include "serve/snapshot.h"
 
 namespace dekg::serve {
 namespace {
@@ -382,23 +383,22 @@ TEST(ShardRoutingTest, PipelinedTcpScoresMatchGoldenAtEveryShardCountAndDepth) {
 }
 
 TEST(ShardRoutingTest, SnapshotSwapIngestNeverBlocksAConcurrentReader) {
-  // Deferred-maintenance mode: one writer thread ingests chunk after
-  // chunk while a free-running reader scores the same request over and
-  // over. The reader must keep completing batches between consecutive
-  // publishes (reader progress — ingest never blocks scoring), and
-  // every batch that ran entirely within one epoch must be
-  // bit-identical to the offline predictor on a statically built graph
-  // of that epoch's triple prefix.
+  // One writer thread ingests chunk after chunk through the
+  // SnapshotWriter while a free-running reader scores the same request
+  // over and over on an InferenceEngine over that writer, which catches
+  // its cache up at the start of each batch. The reader must keep
+  // completing batches between consecutive publishes (reader progress —
+  // ingest never blocks scoring), and every batch that ran entirely
+  // within one epoch must be bit-identical to the offline predictor on a
+  // statically built graph of that epoch's triple prefix.
   DekgDataset dataset = SyntheticDataset();
   core::DekgIlpModel model(SmallModelConfig(dataset.num_relations()),
                            /*seed=*/3);
   std::vector<Triple> triples = TestTriples(dataset, 12);
   ASSERT_GE(triples.size(), 8u);
 
-  RouterConfig config;
-  config.num_shards = 4;
-  config.synchronous_maintenance = false;  // wait-free readers
-  Router router(&model, dataset.original_graph(), config);
+  SnapshotWriter writer(&model, dataset.original_graph(), LiveGraphConfig{});
+  InferenceEngine engine(&model, &writer, EngineConfig{});
 
   std::mutex mutex;
   std::map<uint64_t, std::vector<double>> recorded;  // epoch -> scores
@@ -408,11 +408,11 @@ TEST(ShardRoutingTest, SnapshotSwapIngestNeverBlocksAConcurrentReader) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       // Bracket with the *published snapshot* epoch: published_ is
-      // monotonic, so equal epochs before and after the batch prove
-      // every shard scored against exactly that epoch's snapshot.
-      const uint64_t e0 = router.CurrentSnapshot()->epoch;
-      std::vector<double> scores = router.ScoreBatch(ItemsFor(triples));
-      const uint64_t e1 = router.CurrentSnapshot()->epoch;
+      // monotonic, so equal epochs before and after the batch prove the
+      // engine scored against exactly that epoch's snapshot.
+      const uint64_t e0 = writer.Current()->epoch;
+      std::vector<double> scores = engine.ScoreBatch(ItemsFor(triples));
+      const uint64_t e1 = writer.Current()->epoch;
       reader_batches.fetch_add(1, std::memory_order_acq_rel);
       if (e0 == e1) {
         std::lock_guard<std::mutex> lock(mutex);
@@ -448,13 +448,13 @@ TEST(ShardRoutingTest, SnapshotSwapIngestNeverBlocksAConcurrentReader) {
     const size_t end = std::min(emerging.size(), begin + chunk);
     std::vector<Triple> batch(emerging.begin() + static_cast<int64_t>(begin),
                               emerging.begin() + static_cast<int64_t>(end));
-    IngestResponse response;
-    router.Ingest(batch, &response);
-    ASSERT_EQ(response.status, Status::kOk) << response.error;
+    IngestReport report;
+    std::string error;
+    ASSERT_EQ(writer.Ingest(batch, &report, &error), Status::kOk) << error;
     std::vector<Triple> prefix = prefixes.back();
     prefix.insert(prefix.end(), batch.begin(), batch.end());
     prefixes.push_back(std::move(prefix));
-    const uint64_t epoch = router.epoch();
+    const uint64_t epoch = writer.epoch();
     ASSERT_EQ(epoch, prefixes.size() - 1);
     const uint64_t batches_at_publish = reader_batches.load();
     ASSERT_TRUE(reader_recorded_epoch(epoch))
@@ -486,7 +486,7 @@ TEST(ShardRoutingTest, SnapshotSwapIngestNeverBlocksAConcurrentReader) {
 
   // Final convergence: with every chunk ingested, a quiescent batch
   // equals the offline scores on the full inference graph.
-  const std::vector<double> final_scores = router.ScoreBatch(ItemsFor(triples));
+  const std::vector<double> final_scores = engine.ScoreBatch(ItemsFor(triples));
   const std::vector<double> final_offline =
       predictor.ScoreTriples(dataset.inference_graph(), triples);
   for (size_t i = 0; i < final_offline.size(); ++i) {

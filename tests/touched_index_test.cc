@@ -1,17 +1,17 @@
-// serve::ShardCache, the serve shard's one resident store, against
-// brute-force references. The main schedule is a seeded random sequence
-// of Admit, Remove, Lookup and Affected calls, where removed and evicted
-// keys are re-admitted so slots are reused across generations;
-// it runs unbounded and at a capacity that evicts. After every step the
-// resident keys, the hit/miss/eviction/entry counters and the payload
-// bytes must equal a reference that keeps its keys in a FIFO list, the
-// affected set of a random endpoint set must equal the reference's
-// exactly (no stale slot reported, no live key missed, no key twice), and
-// stale postings must stay within the sweep bound. A second schedule
-// cycles one slot through several wraps of its 8-bit generation,
-// index_bytes() is checked against a hand count, and the FIFO cases pin
-// eviction order under removal and re-admission.
-#include "serve/shard_cache.h"
+// The touched-entity index of SubgraphCache, the one store of extracted
+// subgraphs, against brute-force references. The main schedule is a
+// seeded random sequence of Admit, Remove, Lookup and Affected calls,
+// where removed and evicted keys are re-admitted so slots are reused
+// across generations; it runs unbounded and at a capacity that evicts.
+// After every step the resident keys, the hit/miss/eviction/entry
+// counters and the payload bytes must equal a reference that keeps its
+// keys in a FIFO list, the affected set of a random endpoint set must
+// equal the reference's exactly (no stale slot reported, no live key
+// missed, no key twice), and stale postings must stay within the sweep
+// bound. A second schedule cycles one slot through several wraps of its
+// 8-bit generation, and index_bytes() is checked against a hand count.
+// The store's FIFO, counters and transparency: subgraph_cache_test.
+#include "graph/subgraph_cache.h"
 
 #include <gtest/gtest.h>
 
@@ -22,8 +22,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/subgraph.h"
 
-namespace dekg::serve {
+namespace dekg {
 namespace {
 
 struct TripleLess {
@@ -72,8 +73,8 @@ int64_t ReferencePostings(const Reference& ref) {
   return total;
 }
 
-TEST(ShardCacheTest, ReusedSlotDoesNotInheritStalePostings) {
-  ShardCache cache;
+TEST(TouchedIndexTest, ReusedSlotDoesNotInheritStalePostings) {
+  SubgraphCache cache;
   const Triple a{1, 0, 2};
   const Triple b{3, 0, 4};
   cache.Admit(a, Payload(2), {1, 2, 7});
@@ -100,7 +101,7 @@ TEST(ShardCacheTest, ReusedSlotDoesNotInheritStalePostings) {
 // postings, which then report occupant 511 through block 255; a sweep
 // after it that drops only postings of another generation keeps occupant
 // 0's, which report occupant 256 through block 0.
-TEST(ShardCacheTest, GenerationWrapNeverRevivesStalePostings) {
+TEST(TouchedIndexTest, GenerationWrapNeverRevivesStalePostings) {
   constexpr int32_t kBlocks = 257;
   constexpr int32_t kOccupants = 3 * 256 + 1;
   const auto block = [](int32_t k) {
@@ -110,7 +111,7 @@ TEST(ShardCacheTest, GenerationWrapNeverRevivesStalePostings) {
   const auto query = [](const std::set<EntityId>& entities) {
     return std::vector<EntityId>(entities.begin(), entities.end());
   };
-  ShardCache cache;
+  SubgraphCache cache;
   Reference ref;
   for (int32_t k = 0; k < kOccupants; ++k) {
     const Triple key{k, 0, k + 1};
@@ -140,8 +141,8 @@ TEST(ShardCacheTest, GenerationWrapNeverRevivesStalePostings) {
 }
 
 // index_bytes() counts capacities: 4 bytes per allocated posting.
-TEST(ShardCacheTest, BytesMatchHandCount) {
-  ShardCache cache;
+TEST(TouchedIndexTest, BytesMatchHandCount) {
+  SubgraphCache cache;
   EXPECT_EQ(cache.index_bytes(), 0);
   cache.Admit({1, 0, 2}, Payload(2), {1, 2, 7});
   EXPECT_EQ(cache.index_bytes(), 3 * 4);
@@ -162,94 +163,13 @@ TEST(ShardCacheTest, BytesMatchHandCount) {
   EXPECT_EQ(cache.stats().bytes, 2 * PayloadBytes(2));
 }
 
-TEST(ShardCacheTest, ReinsertedKeyAgesFromReinsertion) {
-  // A key removed (invalidated) and re-admitted ages from its
-  // re-admission: after a is removed and re-admitted, b is the oldest.
-  ShardCache cache(/*capacity=*/2);
-  const Triple a{0, 0, 1}, b{1, 0, 2}, c{2, 0, 3};
-  cache.Admit(a, Payload(2), {0, 1});
-  cache.Admit(b, Payload(2), {1, 2});
-  EXPECT_TRUE(cache.Remove(a));
-  cache.Admit(a, Payload(3), {0, 1});  // a is now the newest
-  cache.Admit(c, Payload(2), {2, 3});
-  EXPECT_EQ(cache.stats().entries, 2);
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(cache.Find(b), nullptr) << "b is the oldest live admission";
-  const Subgraph* resident = cache.Lookup(a);
-  ASSERT_NE(resident, nullptr) << "re-admitted a must survive";
-  EXPECT_EQ(resident->nodes.size(), 3u);
-  EXPECT_NE(cache.Find(c), nullptr);
-  // b's postings went with it.
-  EXPECT_EQ(cache.Affected({1, 2}), (std::vector<Triple>{a, c}));
-}
-
-TEST(ShardCacheTest, CapacityInvariantHoldsUnderRemoveChurn) {
-  // Deterministic remove/re-admit churn: the resident count must never
-  // exceed the capacity, bytes must always equal the sum over residents,
-  // and eviction must always find a resident victim.
-  const int64_t capacity = 4;
-  ShardCache cache(capacity);
-  for (int32_t round = 0; round < 64; ++round) {
-    const Triple t{round % 7, 0, (round % 7) + 1};
-    if (round % 3 == 1) cache.Remove(t);
-    if (cache.Find(t) == nullptr) {
-      cache.Admit(t, Payload(1 + round % 5), {t.head, t.tail});
-    }
-    ASSERT_LE(cache.stats().entries, capacity) << "round " << round;
-    int64_t bytes = 0;
-    int64_t resident = 0;
-    for (int32_t k = 0; k < 8; ++k) {
-      const Subgraph* found = cache.Find(Triple{k, 0, k + 1});
-      if (found == nullptr) continue;
-      bytes += SubgraphPayloadBytes(*found);
-      ++resident;
-    }
-    ASSERT_EQ(cache.stats().entries, resident) << "round " << round;
-    ASSERT_EQ(cache.stats().bytes, bytes) << "round " << round;
-  }
-}
-
-TEST(ShardCacheTest, EvictionOrderUnderInvalidationChurn) {
-  // Random admit / remove / re-admit churn against a reference FIFO of
-  // live keys: every eviction must retire the reference's oldest live
-  // key, however many keys were removed from the middle of the list.
-  const int64_t capacity = 6;
-  ShardCache cache(capacity);
-  std::vector<Triple> reference;  // live keys, oldest first
-  int64_t evictions = 0;
-  Rng rng(23);
-  for (int32_t step = 0; step < 20000; ++step) {
-    const Triple t{static_cast<EntityId>(rng.UniformInt(0, 15)), 0, 99};
-    const auto pos = std::find(reference.begin(), reference.end(), t);
-    if (rng.Bernoulli(0.4)) {
-      ASSERT_EQ(cache.Remove(t), pos != reference.end());
-      if (pos != reference.end()) reference.erase(pos);
-    } else if (pos == reference.end()) {
-      if (static_cast<int64_t>(reference.size()) == capacity) {
-        reference.erase(reference.begin());
-        ++evictions;
-      }
-      reference.push_back(t);
-      cache.Admit(t, Payload(2), {t.head});
-    }
-    ASSERT_EQ(cache.stats().entries, static_cast<int64_t>(reference.size()));
-    ASSERT_EQ(cache.stats().evictions, evictions) << "step " << step;
-    for (EntityId k = 0; k < 16; ++k) {
-      const Triple key{k, 0, 99};
-      ASSERT_EQ(cache.Find(key) != nullptr,
-                std::count(reference.begin(), reference.end(), key) == 1)
-          << "step " << step << " key " << k;
-    }
-  }
-}
-
-// The brute-force model of a ShardCache: resident keys in admission
+// The brute-force model of a SubgraphCache: resident keys in admission
 // order with their touched entities and payload sizes, and the counters.
 struct ReferenceStore {
   std::vector<Triple> fifo;  // oldest admission first
   Reference touched;
   std::map<Triple, int32_t, TripleLess> payload;  // Payload(n)'s n
-  ShardCache::Stats stats;
+  SubgraphCache::Stats stats;
 
   bool Resident(const Triple& key) const { return touched.count(key) != 0; }
   void Forget(Triple key) {  // by value: `key` may alias fifo.front()
@@ -266,7 +186,7 @@ void RunRandomSchedule(int64_t capacity) {
   constexpr int32_t kEntities = 48;
   constexpr int32_t kKeyPool = 160;
   Rng rng(20231017);
-  ShardCache cache(capacity);
+  SubgraphCache cache(capacity);
   ReferenceStore ref;
   int64_t sweeps = 0;
   int64_t wrap_sweeps = 0;
@@ -301,7 +221,7 @@ void RunRandomSchedule(int64_t capacity) {
       ASSERT_EQ(cache.stale_postings(), 0);
       // Within the slack, only a generation wrap sweeps.
       if (stale_before + freed <=
-          live_before - freed + ShardCache::kSweepSlack) {
+          live_before - freed + SubgraphCache::kSweepSlack) {
         ++wrap_sweeps;
       }
     } else {
@@ -388,7 +308,7 @@ void RunRandomSchedule(int64_t capacity) {
       }
       if (::testing::Test::HasFatalFailure()) return;
 
-      const ShardCache::Stats& got = cache.stats();
+      const SubgraphCache::Stats& got = cache.stats();
       ASSERT_EQ(got.hits, ref.stats.hits);
       ASSERT_EQ(got.misses, ref.stats.misses);
       ASSERT_EQ(got.evictions, ref.stats.evictions);
@@ -402,7 +322,7 @@ void RunRandomSchedule(int64_t capacity) {
       ASSERT_EQ(cache.live_postings(), ReferencePostings(ref.touched));
       ASSERT_GE(cache.stale_postings(), 0);
       ASSERT_LE(cache.stale_postings(),
-                cache.live_postings() + ShardCache::kSweepSlack)
+                cache.live_postings() + SubgraphCache::kSweepSlack)
           << "phase " << phase << " step " << step;
     }
   }
@@ -417,13 +337,13 @@ void RunRandomSchedule(int64_t capacity) {
   }
 }
 
-TEST(ShardCacheTest, RandomScheduleMatchesBruteForce) {
+TEST(TouchedIndexTest, RandomScheduleMatchesBruteForce) {
   RunRandomSchedule(/*capacity=*/0);
 }
 
-TEST(ShardCacheTest, RandomScheduleMatchesBruteForceWhileEvicting) {
+TEST(TouchedIndexTest, RandomScheduleMatchesBruteForceWhileEvicting) {
   RunRandomSchedule(/*capacity=*/24);
 }
 
 }  // namespace
-}  // namespace dekg::serve
+}  // namespace dekg

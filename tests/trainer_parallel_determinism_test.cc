@@ -23,6 +23,7 @@
 #include "core/trainer.h"
 #include "datagen/synthetic_kg.h"
 #include "eval/evaluator.h"
+#include "graph/subgraph_cache.h"
 
 namespace dekg {
 namespace {
@@ -147,6 +148,7 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
     std::vector<double> losses;
     std::vector<uint8_t> params;
     std::string metrics;
+    SubgraphCache::Stats cache;  // after the last epoch
   };
 
   static RunResult Run(const core::TrainConfig& train,
@@ -155,6 +157,7 @@ class TrainerParallelDeterminismTest : public ::testing::Test {
     RunResult result;
     result.losses = setup.trainer->Train();
     result.params = ParamBytes(*setup.module);
+    result.cache = setup.trainer->subgraph_cache().stats();
     EvalConfig eval;
     eval.num_entity_negatives = 12;
     eval.max_links = 12;
@@ -216,12 +219,18 @@ TEST_F(TrainerParallelDeterminismTest, SubgraphCacheIsNumericallyTransparent) {
     cached.use_subgraph_cache = true;
     ExpectSameRun(reference, Run(cached, kind), "cache-on");
 
-    // A capacity small enough to thrash (evictions mid-prefill) must not
-    // change a bit either — evicted entries are served from the
-    // extraction buffer or re-extracted, never skipped.
+    // A capacity small enough to evict nearly every admission must not
+    // change a bit either. Its last epoch's counters are pinned: 48
+    // positives per epoch, one still resident from the epoch before.
     core::TrainConfig tiny = cached;
     tiny.subgraph_cache_capacity = 4;
-    ExpectSameRun(reference, Run(tiny, kind), "cache-tiny-capacity");
+    const RunResult thrashed = Run(tiny, kind);
+    ExpectSameRun(reference, thrashed, "cache-tiny-capacity");
+    EXPECT_EQ(thrashed.cache.hits, 1);
+    EXPECT_EQ(thrashed.cache.misses, 47);
+    EXPECT_EQ(thrashed.cache.evictions, 47);
+    EXPECT_EQ(thrashed.cache.entries, 4);
+    EXPECT_EQ(thrashed.cache.bytes, kind == Kind::kDekgIlp ? 14724 : 7032);
   }
 }
 

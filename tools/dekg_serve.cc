@@ -13,7 +13,10 @@
 //       (consistent-hash routing, DESIGN.md §14; scores are bit-identical
 //       at any shard count). --no-emerging starts from the train graph
 //       only (emerging triples arrive via the client's ingest-emerging
-//       mode).
+//       mode). Ranges: --port 0..65535, --shards >= 1, --batch >= 1,
+//       --cache >= 0 (0 = unlimited entries per shard), --max-entities
+//       >= the base graph's entity count. A value outside its range (or
+//       not an integer) prints a message and exits 2.
 //
 //   dekg_serve <dir> <checkpoint> --print-golden N [--dim D]
 //       No server: print the offline scores of the first N test links
@@ -30,6 +33,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,6 +77,21 @@ int32_t Int32Flag(int argc, char** argv, const char* name, int32_t fallback) {
   return value;
 }
 
+// Int32Flag that also exits 2 when the value lies outside [min, max].
+int32_t BoundedFlag(int argc, char** argv, const char* name,
+                    int32_t fallback, int32_t min,
+                    int32_t max = std::numeric_limits<int32_t>::max()) {
+  const int32_t value = Int32Flag(argc, argv, name, fallback);
+  if (value >= min && value <= max) return value;
+  if (max == std::numeric_limits<int32_t>::max()) {
+    std::fprintf(stderr, "%s must be >= %d, got %d\n", name, min, value);
+  } else {
+    std::fprintf(stderr, "%s must be in %d..%d, got %d\n", name, min, max,
+                 value);
+  }
+  std::exit(2);
+}
+
 int self_pipe_write_fd = -1;
 
 void HandleStopSignal(int /*signo*/) {
@@ -105,7 +124,11 @@ int main(int argc, char** argv) {
         " [--port-file PATH]\n"
         "                  [--threads T] [--shards N] [--batch N] [--cache N]"
         " [--max-entities N]\n"
-        "                  [--no-emerging] [--print-golden N]\n");
+        "                  [--no-emerging] [--print-golden N]\n"
+        "ranges: --port 0..65535 (0 = ephemeral), --shards >= 1, --batch >= 1,"
+        " --cache >= 0 (0 = unlimited),\n"
+        "        --max-entities >= the base graph's entity count; a value"
+        " outside its range exits 2\n");
     return 2;
   }
   const std::string dir = argv[1];
@@ -135,26 +158,24 @@ int main(int argc, char** argv) {
   const KnowledgeGraph& base =
       no_emerging ? dataset.original_graph() : dataset.inference_graph();
 
+  // The serving flags are checked before anything is built: a value
+  // outside its range exits 2 with a message instead of failing a
+  // DEKG_CHECK.
   serve::RouterConfig router_config;
-  router_config.num_shards = Int32Flag(argc, argv, "--shards", 1);
-  if (router_config.num_shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
+  router_config.num_shards = BoundedFlag(argc, argv, "--shards", 1, 1);
   serve::EngineConfig& engine_config = router_config.engine;
-  engine_config.cache_capacity = Int32Flag(argc, argv, "--cache", 4096);
-  engine_config.live_graph.max_entities =
-      Int32Flag(argc, argv, "--max-entities", 1 << 20);
-  serve::Router router(&model, base, router_config);
-
+  engine_config.cache_capacity = BoundedFlag(argc, argv, "--cache", 4096, 0);
+  engine_config.live_graph.max_entities = BoundedFlag(
+      argc, argv, "--max-entities", 1 << 20, base.num_entities());
   serve::BatcherConfig batcher_config;
-  batcher_config.max_batch_triples = Int32Flag(argc, argv, "--batch", 256);
-  serve::MicroBatcher batcher(&router, batcher_config);
-
+  batcher_config.max_batch_triples = BoundedFlag(argc, argv, "--batch", 256, 1);
   serve::ServerConfig server_config;
   server_config.host = FlagValue(argc, argv, "--host", "127.0.0.1");
   server_config.port =
-      static_cast<uint16_t>(Int32Flag(argc, argv, "--port", 0));
+      static_cast<uint16_t>(BoundedFlag(argc, argv, "--port", 0, 0, 65535));
+
+  serve::Router router(&model, base, router_config);
+  serve::MicroBatcher batcher(&router, batcher_config);
   serve::ScoringServer server(&batcher, server_config);
   if (!server.Start(&error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
